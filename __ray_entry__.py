@@ -7,7 +7,7 @@ order-insensitive value-hash). Column names/types match on both sides by
 construction; float columns are rounded (``*_r``) on both sides.
 
 No ray.init()/ray.shutdown() here or in the library (driver owns the
-session); bench.py and tests own their own sessions.
+session); perfbench/run.py and tests own their own sessions.
 """
 
 from __future__ import annotations

@@ -449,9 +449,12 @@ class SegmentEncoding:
     """Whole-segment batch encoding of many terms' postings (+ positions).
 
     Produced by encode_segment_terms: all packed streams are built in a
-    few vectorized passes (pack_blocks) instead of per-term encode calls;
-    ``term_region(ti)`` assembles term ti's postings.bin region
-    byte-identically to _region_blobs(encode_postings(...)).
+    few vectorized passes (pack_blocks) instead of per-term encode calls.
+    ``term_files()`` lays every term's postings.bin region out back to back
+    (byte-identical to _region_blobs(encode_postings(...)) per term) with
+    the term-table metadata; ``payloads`` (float32, positions order) and
+    ``term_ords`` (the input term ordinal of each encoded term, set by
+    rewrite_postings) ride along for the writer.
     """
 
     __slots__ = (
@@ -460,47 +463,84 @@ class SegmentEncoding:
         "imp_norms", "imp_term_off", "docs_packed", "docs_off",
         "freqs_packed", "freqs_off", "pos_packed", "pos_off", "pos_widths",
         "fmt_id", "dexc", "fexc", "dexc_off", "fexc_off",
+        "has_positions", "payloads", "term_ords", "_files",
     )
 
-    def term_region(self, ti: int) -> tuple[bytes, int, int, int, int]:
-        """(region bytes, n_blocks, n_imp, len_docs, len_freqs) for term ti.
-        Every region starts with its postings-format id byte (the Codec SPI
-        dispatch point); len_docs/len_freqs are the PACKED blob lengths."""
-        b0, b1 = int(self.bstart[ti]), int(self.bstart[ti + 1])
-        i0, i1 = int(self.imp_term_off[ti]), int(self.imp_term_off[ti + 1])
-        d0, d1 = int(self.docs_off[b0]), int(self.docs_off[b1])
-        f0, f1 = int(self.freqs_off[b0]), int(self.freqs_off[b1])
-        parts = [
-            bytes([self.fmt_id]),
-            self.last_docs[b0:b1].tobytes(),
-            self.dwidths[b0:b1].astype(np.uint8).tobytes(),
-            self.fwidths[b0:b1].astype(np.uint8).tobytes(),
-            self.imp_counts[b0:b1].astype(np.uint8).tobytes(),
-            self.imp_freqs[i0:i1].astype(np.int32).tobytes(),
-            self.imp_norms[i0:i1].astype(np.uint8).tobytes(),
+    def term_files(self):
+        """(postings bytes, (off, n_blocks, n_imp, len_docs, len_freqs),
+        positions bytes, (pos_off, pos_width, len_pos)) of every term.
+
+        Each region is: fmt_id byte, last_docs, doc/freq widths, impact
+        counts, impact freqs and norms, [PFOR: exception counts, positions
+        and high bytes], packed docs, packed freqs. Every section of every
+        term lands in one scatter per section (the section's source arrays
+        are already term-ordered and contiguous). Computed once, cached."""
+        if getattr(self, "_files", None) is not None:
+            return self._files
+        T, bs, it = self.n_terms, self.bstart, self.imp_term_off
+        secs = [
+            (np.full(T, self.fmt_id, np.uint8), np.arange(T + 1)),
+            (_le_bytes(self.last_docs, "<i8"), bs * 8),
+            (_le_bytes(self.dwidths, np.uint8), bs),
+            (_le_bytes(self.fwidths, np.uint8), bs),
+            (_le_bytes(self.imp_counts, np.uint8), bs),
+            (_le_bytes(self.imp_freqs, "<i4"), it * 4),
+            (_le_bytes(self.imp_norms, np.uint8), it),
         ]
         if self.fmt_id != 0:
-            de0, de1 = int(self.dexc_off[b0]), int(self.dexc_off[b1])
-            fe0, fe1 = int(self.fexc_off[b0]), int(self.fexc_off[b1])
-            parts.extend(
-                (
-                    self.dexc[0][b0:b1].tobytes(),
-                    self.fexc[0][b0:b1].tobytes(),
-                    self.dexc[1][de0:de1].tobytes(),
-                    self.dexc[2][de0:de1].tobytes(),
-                    self.fexc[1][fe0:fe1].tobytes(),
-                    self.fexc[2][fe0:fe1].tobytes(),
-                )
-            )
-        parts.append(self.docs_packed[d0:d1].tobytes())
-        parts.append(self.freqs_packed[f0:f1].tobytes())
-        region = b"".join(parts)
-        return region, b1 - b0, i1 - i0, d1 - d0, f1 - f0
+            de, fe = self.dexc_off[bs], self.fexc_off[bs]
+            secs += [
+                (_le_bytes(self.dexc[0], np.uint8), bs),
+                (_le_bytes(self.fexc[0], np.uint8), bs),
+                (_le_bytes(self.dexc[1], np.uint8), de),
+                (_le_bytes(self.dexc[2], np.uint8), de),
+                (_le_bytes(self.fexc[1], np.uint8), fe),
+                (_le_bytes(self.fexc[2], np.uint8), fe),
+            ]
+        secs += [
+            (self.docs_packed, self.docs_off[bs]),
+            (self.freqs_packed, self.freqs_off[bs]),
+        ]
+        lens = [np.diff(o) for _, o in secs]
+        size = np.sum(lens, axis=0)
+        off = np.zeros(T, np.int64)
+        np.cumsum(size[:-1], out=off[1:])
+        post = np.empty(int(size.sum()), np.uint8)
+        cur = off.copy()
+        for (src, o), ln in zip(secs, lens):
+            post[_ranges(cur, ln)] = src[o[0] : o[-1]]
+            cur += ln
+        meta = (off, self.nbs.astype(np.int32), np.diff(it).astype(np.int32),
+                lens[-2], lens[-1])
+        pos_meta = (self.pos_off[:-1], self.pos_widths.astype(np.uint8),
+                    np.diff(self.pos_off))
+        self._files = (post, meta, self.pos_packed[: self.pos_off[-1]], pos_meta)
+        return self._files
+
+    def term_region(self, ti: int) -> tuple[bytes, int, int, int, int]:
+        """(region bytes, n_blocks, n_imp, len_docs, len_freqs) for term ti:
+        one slice of term_files(). len_docs/len_freqs are PACKED lengths."""
+        post, (off, nb, ni, ld, lf), _, _ = self.term_files()
+        end = off[ti + 1] if ti + 1 < self.n_terms else len(post)
+        return post[off[ti] : end].tobytes(), int(nb[ti]), int(ni[ti]), int(ld[ti]), int(lf[ti])
 
     def term_positions_blob(self, ti: int) -> tuple[bytes, int, int]:
         """(pos blob bytes, pos width, len) for term ti (positions mode)."""
         p0, p1 = int(self.pos_off[ti]), int(self.pos_off[ti + 1])
         return self.pos_packed[p0:p1].tobytes(), int(self.pos_widths[ti]), p1 - p0
+
+
+def _le_bytes(a, dtype) -> np.ndarray:
+    """``a`` as little-endian ``dtype`` values, viewed as raw bytes."""
+    return np.ascontiguousarray(a, dtype=dtype).view(np.uint8)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges [starts[i], starts[i] + lens[i])."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    first = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(starts - first, lens)
 
 
 def encode_segment_terms(
@@ -511,17 +551,22 @@ def encode_segment_terms(
     term_ends: np.ndarray,
     pos_stream: np.ndarray | None = None,
     postings_format: str = "for",
+    payloads: np.ndarray | None = None,
 ) -> SegmentEncoding:
     """Batch-encode every term of a segment in vectorized passes.
 
     docs/freqs are the (term, doc)-sorted posting triples (term boundaries
     in term_starts/term_ends); norms_aligned[i] is the norm byte of the
-    doc at position i (aligned with docs); pos_stream (optional) holds
-    positions in the same global order, expanded per occurrence.
-    Semantically identical to per-term encode_postings + encode_positions
-    (asserted by tests)."""
+    doc at position i (aligned with docs); pos_stream (optional; None = the
+    field indexes no positions) holds positions in the same global order,
+    expanded per occurrence, and ``payloads`` (optional) one float32 per
+    position in that order. Semantically identical to per-term
+    encode_postings + encode_positions (asserted by tests)."""
     T = len(term_starts)
     enc = SegmentEncoding()
+    enc.has_positions = pos_stream is not None
+    enc.payloads = payloads
+    enc.term_ords = np.arange(T, dtype=np.int64)
     docs = np.asarray(docs, dtype=np.int64)
     freqs = np.asarray(freqs, dtype=np.int64)
     term_starts = np.asarray(term_starts, dtype=np.int64)
@@ -572,28 +617,31 @@ def encode_segment_terms(
 
     enc.docs_packed, enc.docs_off = pack_blocks(d_store, bcount, enc.dwidths)
     enc.freqs_packed, enc.freqs_off = pack_blocks(f_store, bcount, enc.fwidths)
+    # free the packing inputs: the impacts and positions passes below set
+    # the flush's peak memory
+    del deltas, fm1, d_store, f_store
 
-    # per-block competitive (freq, norm) pareto frontiers
-    imp_counts = np.empty(B, dtype=np.int64)
-    imp_f_parts: list[np.ndarray] = []
-    imp_n_parts: list[np.ndarray] = []
+    # per-block competitive (freq, norm) pareto frontiers of every block in
+    # one pass (== compute_impacts per block): sort by (block, freq desc,
+    # norm asc); the key norm - block*256 puts each block below every
+    # earlier one, so one running minimum restarts at each block and a row
+    # is kept iff its norm beats every earlier row of its block
     norms_aligned = np.asarray(norms_aligned, dtype=np.uint8)
-    for bi in range(B):
-        s = int(bvstart[bi])
-        c = int(bcount[bi])
-        kf, kn = compute_impacts(
-            freqs[s : s + c].astype(np.int32), norms_aligned[s : s + c]
-        )
-        imp_counts[bi] = len(kf)
-        imp_f_parts.append(kf)
-        imp_n_parts.append(kn)
+    vblock = np.repeat(np.arange(B, dtype=np.int64), bcount)
+    order = np.lexsort((norms_aligned, -freqs, vblock))
+    key = vblock * -256  # vblock is sorted already: vblock[order] == vblock
+    key += norms_aligned[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
+    kept = order[first]
+    kb = vblock[first]
+    imp_counts = np.bincount(kb, minlength=B)
+    imp_end = np.cumsum(imp_counts)
+    # a block's frontier is stored freq-ascending: reverse its kept rows
+    rev = kept[2 * imp_end[kb] - imp_counts[kb] - 1 - np.arange(len(kept))]
     enc.imp_counts = imp_counts
-    enc.imp_freqs = (
-        np.concatenate(imp_f_parts) if imp_f_parts else np.empty(0, np.int32)
-    )
-    enc.imp_norms = (
-        np.concatenate(imp_n_parts) if imp_n_parts else np.empty(0, np.uint8)
-    )
+    enc.imp_freqs = freqs[rev].astype(np.int32)
+    enc.imp_norms = norms_aligned[rev]
     imp_term_off = np.zeros(T + 1, dtype=np.int64)
     if B:
         per_term_imps = np.add.reduceat(imp_counts, bstart[:-1])
@@ -624,6 +672,225 @@ def encode_segment_terms(
         enc.ttfs = (
             np.add.reduceat(freqs, term_starts) if T and len(freqs) else np.zeros(T, np.int64)
         )
+    return enc
+
+
+def _read_bits(buf: np.ndarray, bit_off: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The ``widths[i]``-bit values (<= 63, LSB first) at absolute bit
+    offsets ``bit_off[i]`` of the uint8 buffer ``buf`` -> int64.
+
+    One unaligned little-endian 64-bit window read at each value's first
+    byte covers widths <= 56; wider values take their top bits from the
+    byte after the window. Windows that would run past the end of ``buf``
+    read a zero-padded copy of its last bytes, so ``buf`` (a memory map,
+    say) is never copied."""
+    byte = np.asarray(bit_off, dtype=np.int64) >> 3
+    shift = (np.asarray(bit_off, dtype=np.int64) & 7).astype(np.uint64)
+    w = np.asarray(widths).astype(np.uint64)
+    n = len(buf)
+    win = np.zeros(len(byte), dtype=np.uint64)
+    inside = byte < n - 7
+    if inside.any():
+        wins = np.ndarray((n - 7,), dtype="<u8", buffer=buf, strides=(1,))
+        win[inside] = wins[byte[inside]]
+    edge = ~inside
+    if edge.any():
+        t0 = max(n - 8, 0)
+        tail = np.zeros(24, dtype=np.uint8)
+        tail[: n - t0] = buf[t0:]
+        win[edge] = np.ndarray((17,), dtype="<u8", buffer=tail, strides=(1,))[byte[edge] - t0]
+    v = win >> shift
+    wide = np.flatnonzero(w + shift > 64)
+    if len(wide):
+        nxt = byte[wide] + 8
+        hi = np.where(nxt < n, buf[np.minimum(nxt, n - 1)], 0).astype(np.uint64)
+        v[wide] |= hi << (np.uint64(64) - shift[wide])
+    return (v & ((np.uint64(1) << w) - np.uint64(1))).astype(np.int64)
+
+
+def decode_segment_terms(
+    post: np.ndarray,
+    off: np.ndarray,
+    doc_freq: np.ndarray,
+    n_blocks: np.ndarray,
+    n_imp: np.ndarray,
+    len_docs: np.ndarray,
+    len_freqs: np.ndarray,
+    positions: tuple | None = None,
+    payloads: tuple | None = None,
+):
+    """Vectorized inverse of encode_segment_terms + term_files.
+
+    ``post`` holds term regions (any order, any gaps) starting at byte
+    ``off[i]``; the other arrays are each region's term-table row. FOR and
+    PFOR regions mix freely (each leads with its fmt_id byte). Every
+    section offset and the whole block table come from array arithmetic,
+    and each stream decodes in one gather (_read_bits); PFOR exceptions
+    patch through apply_exceptions. ``positions`` = (buffer, pos_off,
+    pos_width) and ``payloads`` = (float32 buffer, pay_off) decode the
+    regions' position and payload streams too.
+
+    Returns (docs, freqs, positions or None, payloads or None): region
+    after region, docIDs local to each region (first delta from -1)."""
+    post = np.asarray(post, dtype=np.uint8)
+    off = np.asarray(off, dtype=np.int64)
+    df = np.asarray(doc_freq, dtype=np.int64)
+    nb = np.asarray(n_blocks, dtype=np.int64)
+    ni = np.asarray(n_imp, dtype=np.int64)
+    ld = np.asarray(len_docs, dtype=np.int64)
+    F = len(off)
+    fmt = post[off]
+    for f in np.unique(fmt):
+        format_by_id(int(f))  # corrupt regions fail loud
+    # block table: region, block-in-region, value count, first value
+    B = int(nb.sum())
+    bfrag = np.repeat(np.arange(F, dtype=np.int64), nb)
+    bfirst = np.cumsum(nb) - nb
+    local_b = np.arange(B, dtype=np.int64) - bfirst[bfrag]
+    nbb = nb[bfrag]
+    bcount = np.where(local_b < nbb - 1, BLOCK_SIZE, df[bfrag] - (nbb - 1) * BLOCK_SIZE)
+    vstart = np.cumsum(bcount) - bcount
+    # section offsets (see SegmentEncoding.term_files for the layout)
+    widths_at = off + 1 + 8 * nb
+    dw = post[widths_at[bfrag] + local_b]
+    fw = post[widths_at[bfrag] + nbb + local_b]
+    exc_at = widths_at + 3 * nb + 5 * ni
+    patched = fmt != 0
+    pb = patched[bfrag]
+    dcnt = np.zeros(B, np.uint8)
+    fcnt = np.zeros(B, np.uint8)
+    dcnt[pb] = post[exc_at[bfrag][pb] + local_b[pb]]
+    fcnt[pb] = post[exc_at[bfrag][pb] + nbb[pb] + local_b[pb]]
+    nd = np.bincount(bfrag, weights=dcnt, minlength=F).astype(np.int64)
+    nf = np.bincount(bfrag, weights=fcnt, minlength=F).astype(np.int64)
+    dpos_at = exc_at + 2 * nb
+    dexc = (dcnt, post[_ranges(dpos_at, nd)], post[_ranges(dpos_at + nd, nd)])
+    fexc = (fcnt, post[_ranges(dpos_at + 2 * nd, nf)],
+            post[_ranges(dpos_at + 2 * nd + nf, nf)])
+    docs_at = np.where(patched, dpos_at + 2 * nd + 2 * nf, exc_at)
+    blocks = np.arange(B, dtype=np.int64)
+    vb = np.repeat(blocks, bcount)
+    k = np.arange(len(vb), dtype=np.int64) - vstart[vb]
+
+    def unpack(at, w, exc):
+        nbytes = (bcount * w.astype(np.int64) + 7) // 8
+        bbyte = np.cumsum(nbytes) - nbytes
+        bbyte += at[bfrag] - bbyte[bfirst[bfrag]]  # restart in each region
+        vals = _read_bits(post, 8 * bbyte[vb] + k * w[vb], w[vb])
+        apply_exceptions(vals, blocks, w, exc, vstart)
+        return vals + 1
+
+    d = unpack(docs_at, dw, dexc)
+    freqs = unpack(docs_at + ld, fw, fexc)
+    cs = np.cumsum(d)
+    first = np.cumsum(df) - df
+    docs = cs - np.repeat(cs[first] - d[first] + 1, df)
+    ttf = np.add.reduceat(freqs, first)
+    tok_first = np.cumsum(ttf) - ttf
+    pos = pay = None
+    if positions is not None:
+        pbuf, pos_off, pos_w = positions
+        pos_off = np.asarray(pos_off, dtype=np.int64)
+        pos_w = np.asarray(pos_w, dtype=np.int64)
+        tfrag = np.repeat(np.arange(F, dtype=np.int64), ttf)
+        kt = np.arange(len(tfrag), dtype=np.int64) - tok_first[tfrag]
+        pd = _read_bits(np.asarray(pbuf, dtype=np.uint8),
+                        8 * pos_off[tfrag] + kt * pos_w[tfrag], pos_w[tfrag])
+        # deltas restart at every posting: subtract each posting's prefix
+        pc = np.cumsum(pd)
+        ps = np.cumsum(freqs) - freqs
+        pos = pc - np.repeat(pc[ps] - pd[ps], freqs)
+    if payloads is not None:
+        pay_buf, pay_off = payloads
+        pay = np.asarray(pay_buf, dtype=np.float32)[_ranges(pay_off, ttf)]
+    return docs, freqs, pos, pay
+
+
+@dataclass
+class TermFragments:
+    """Term regions of ONE postings buffer, queued for rewrite_postings.
+
+    ``post``/``off``/``doc_freq``/``n_blocks``/``n_imp``/``len_docs``/
+    ``len_freqs`` locate and describe each region (decode_segment_terms);
+    ``term`` is each region's OUTPUT term ordinal and ``doc_base`` (per
+    region, or one int) is added to its local docIDs. ``positions`` /
+    ``payloads`` are decode_segment_terms' optional stream tuples."""
+
+    post: np.ndarray
+    off: np.ndarray
+    doc_freq: np.ndarray
+    n_blocks: np.ndarray
+    n_imp: np.ndarray
+    len_docs: np.ndarray
+    len_freqs: np.ndarray
+    term: np.ndarray
+    doc_base: np.ndarray | int = 0
+    positions: tuple | None = None
+    payloads: tuple | None = None
+
+
+def rewrite_postings(
+    fragments: list[TermFragments],
+    doc_remap: np.ndarray | None = None,
+    *,
+    norms: np.ndarray,
+    norms_base: int = 0,
+    postings_format: str = "for",
+) -> SegmentEncoding:
+    """The one postings-rewrite kernel of merge, compaction and reclaim.
+
+    Decodes every fragment (decode_segment_terms, one call per buffer),
+    maps its docIDs to ``doc_base + local`` and, with ``doc_remap``, on
+    through ``doc_remap[...]`` where -1 drops the doc with its positions
+    and payloads. A merge shard is ``doc_base`` = each segment's base; a
+    compaction is the rebase of each input segment; a reclaim is the
+    renumbering ``doc_remap``. Fragments of a term concatenate in
+    doc_base order; terms left with no postings are dropped (the result's
+    ``term_ords`` lists the surviving output ordinals). Norms are
+    gathered once, as ``norms[new_doc - norms_base]``. Re-encodes with
+    encode_segment_terms at ``postings_format``."""
+    dec = [
+        decode_segment_terms(
+            f.post, f.off, f.doc_freq, f.n_blocks, f.n_imp, f.len_docs,
+            f.len_freqs, positions=f.positions, payloads=f.payloads,
+        )
+        for f in fragments
+    ]
+    df = np.concatenate([np.asarray(f.doc_freq, np.int64) for f in fragments])
+    term = np.concatenate([np.asarray(f.term, np.int64) for f in fragments])
+    base = np.concatenate([
+        np.broadcast_to(np.asarray(f.doc_base, np.int64), len(f.off)) for f in fragments
+    ])
+    docs = np.concatenate([x[0] for x in dec]) + np.repeat(base, df)
+    freqs = np.concatenate([x[1] for x in dec])
+    if doc_remap is not None:
+        docs = np.asarray(doc_remap, dtype=np.int64)[docs]
+    # fragments in (term, doc_base) order; a posting whose doc maps to -1
+    # drops out with its tokens
+    order = np.lexsort((base, term))
+    first = np.cumsum(df) - df
+    pidx = _ranges(first[order], df[order])
+    pterm = np.repeat(term[order], df[order])
+    keep = docs[pidx] >= 0 if doc_remap is not None else slice(None)
+    pos = pay = None
+    if fragments[0].positions is not None or fragments[0].payloads is not None:
+        ttf = np.add.reduceat(freqs, first)
+        tidx = _ranges((np.cumsum(ttf) - ttf)[order], ttf[order])
+        if doc_remap is not None:
+            tidx = tidx[np.repeat(keep, freqs[pidx])]
+        if fragments[0].positions is not None:
+            pos = np.concatenate([x[2] for x in dec])[tidx]
+        if fragments[0].payloads is not None:
+            pay = np.concatenate([x[3] for x in dec])[tidx]
+    pidx, pterm = pidx[keep], pterm[keep]
+    docs, freqs = docs[pidx], freqs[pidx]
+    starts = np.flatnonzero(np.r_[True, pterm[1:] != pterm[:-1]])[: len(pterm)]
+    enc = encode_segment_terms(
+        docs, freqs, np.asarray(norms, dtype=np.uint8)[docs - norms_base],
+        starts, np.append(starts[1:], len(docs)), pos_stream=pos,
+        postings_format=postings_format, payloads=pay,
+    )
+    enc.term_ords = pterm[starts]
     return enc
 
 

@@ -465,7 +465,7 @@ class MergedIndexSearcher(IndexSearcher):
     """IndexSearcher API over the merged index.
 
     mode="auto" runs the dense vectorized bulk scorer (fastest at these
-    segment sizes — measured in bench.py); mode="wand" runs block-max WAND
+    segment sizes — measured with perfbench/run.py); mode="wand" runs block-max WAND
     document-at-a-time, with salted hot terms expanded into one clause per
     doc-range fragment (see wand.py) — the pruning scale path, duel-tested
     rank-identical in tests/test_merge.py."""

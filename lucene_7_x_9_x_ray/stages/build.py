@@ -408,11 +408,8 @@ def append_index(
     specs = plan_partitions(input_paths, cfg)
     if not specs:
         raise ValueError(f"no input rows found in {input_paths}")
-    seg_i0 = 1 + max(
-        (int(s["seg_name"].rsplit("_", 1)[1]) for s in manifest.segments), default=-1
-    )
-    for i, sp in enumerate(specs):
-        sp["seg_name"] = f"seg_{seg_i0 + i:06d}"
+    for sp in specs:
+        sp["seg_name"] = manifest.new_segment_name()
         sp["doc_base"] += manifest.doc_count
 
     new_rows = _run_specs_distributed(specs, cfg, segments_dir, concurrency)
@@ -477,9 +474,6 @@ def add_indexes(dst_dir: str, src_dirs: list[str]) -> IndexManifest:
     want_fields = {
         k for s in manifest.segments for k in (s.get("field_stats") or {})
     }
-    seg_i = 1 + max(
-        (int(s["seg_name"].rsplit("_", 1)[1]) for s in manifest.segments), default=-1
-    )
     new_rows: list[dict] = []
     new_tombs: list[int] = []
     doc_base = manifest.doc_count
@@ -504,8 +498,7 @@ def add_indexes(dst_dir: str, src_dirs: list[str]) -> IndexManifest:
                     f"addIndexes config mismatch: segment {s['seg_name']} has "
                     f"fields {sorted(have)}, destination has {sorted(want_fields)}"
                 )
-            new_name = f"seg_{seg_i:06d}"
-            seg_i += 1
+            new_name = manifest.new_segment_name()
             src_seg = os.path.join(src_dir, "segments", s["seg_name"])
             dst_seg = os.path.join(dst_dir, "segments", new_name)
             if os.path.exists(dst_seg):  # orphan from a crashed attempt

@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.codec import encode_segment_terms
+from ..functions.codec import TermFragments, rewrite_postings
 from ..state.manifest import IndexManifest, SegmentStats, atomic_write_json
 from ..state.segment import (
     DOCMAP_FILE,
@@ -36,13 +36,10 @@ from ..state.segment import (
     field_prefix,
     NORMS_FILE,
     POSITIONS_FILE,
-    POSTINGS_FILE,
     STATS_NAME,
     TERMS_FILE,
     SegmentReader,
-    PAYLOADS_FILE,
-    encode_term_table,
-    write_payloads_file,
+    write_term_files,
 )
 
 
@@ -75,95 +72,39 @@ def plan_compactions(manifest: IndexManifest, policy: CompactionPolicy) -> list[
     return groups
 
 
-def _merge_field_views(views, rebases, has_pos: bool, tmp: str, prefix: str,
+def _view_fragments(view, term: np.ndarray, doc_base: int) -> TermFragments:
+    """Every term region of one field view (SegmentReader for the primary
+    field, FieldReader for extras), read from its memory-mapped files."""
+    return TermFragments(
+        view._post, view._off, view.doc_freqs, view._n_blocks, view._n_imp,
+        view._len_docs, view._len_freqs, term=term, doc_base=doc_base,
+        positions=(view._positions, view._pos_off, view._pos_width)
+        if view.has_positions else None,
+        payloads=(view._payloads, view._pay_off) if view.has_payloads else None,
+    )
+
+
+def _merge_field_views(views, rebases, tmp: str, prefix: str,
                        postings_format: str = "for") -> dict:
     """k-way merge ONE field's term tables/postings/norms from per-segment
-    views (SegmentReader for the primary field, FieldReader for extras) into
-    prefixed artifact files under ``tmp``. Returns the merged field stats.
-    Payload streams (when present on every view — _group_segments guards
-    mixing) concatenate in the same (term, view) order as positions."""
-    has_pay = all(getattr(v, "has_payloads", False) for v in views)
+    views into prefixed artifact files under ``tmp`` (rewrite_postings with
+    each view's rebase). Returns the merged field stats. Positions and
+    payloads are homogeneous across the views (merge_segment_group guards
+    mixing)."""
     all_terms = np.unique(np.concatenate([v.terms for v in views]))
-    d_cat, f_cat, n_cat, p_cat, pay_cat = [], [], [], [], []
-    term_starts = np.zeros(len(all_terms), dtype=np.int64)
-    off = 0
-    for ti, term in enumerate(all_terms):
-        term_starts[ti] = off
-        for v, rb in zip(views, rebases):
-            i = v.lookup(str(term))
-            if i < 0:
-                continue
-            tp = v.postings_by_ord(i)
-            d, f = tp.decode()
-            d_cat.append(d + rb)
-            f_cat.append(f)
-            n_cat.append(v.norms[d])
-            if has_pos:
-                p_cat.append(v.positions_by_ord(i, f))
-            if has_pay:
-                pay_cat.append(v.payloads_by_ord(i))
-            off += len(d)
-    term_ends = np.append(term_starts[1:], off)
-    docs = np.concatenate(d_cat) if d_cat else np.empty(0, np.int64)
-    freqs = np.concatenate(f_cat) if f_cat else np.empty(0, np.int64)
-    norms_aligned = np.concatenate(n_cat) if n_cat else np.empty(0, np.uint8)
-    pos_stream = np.concatenate(p_cat) if has_pos and p_cat else None
-    enc = encode_segment_terms(docs, freqs, norms_aligned, term_starts, term_ends,
-                               pos_stream=pos_stream,
-                               postings_format=postings_format)
-
-    pos = ppos = 0
-    regions = []
-    meta = (np.zeros(len(all_terms), np.int64), np.zeros(len(all_terms), np.int32),
-            np.zeros(len(all_terms), np.int32), np.zeros(len(all_terms), np.int64),
-            np.zeros(len(all_terms), np.int64))
-    pos_meta = (
-        (np.zeros(len(all_terms), np.int64), np.zeros(len(all_terms), np.uint8),
-         np.zeros(len(all_terms), np.int64)) if has_pos else None
+    norms = np.concatenate([v.norms for v in views])
+    enc = rewrite_postings(
+        [_view_fragments(v, np.searchsorted(all_terms, v.terms), rb)
+         for v, rb in zip(views, rebases)],
+        norms=norms, postings_format=postings_format,
     )
-    pos_blobs = []
-    for ti in range(len(all_terms)):
-        region, nb, ni, ld, lf = enc.term_region(ti)
-        regions.append(region)
-        meta[0][ti] = pos
-        meta[1][ti] = nb
-        meta[2][ti] = ni
-        meta[3][ti] = ld
-        meta[4][ti] = lf
-        pos += len(region)
-        if has_pos:
-            pb, pw, pl = enc.term_positions_blob(ti)
-            pos_blobs.append(pb)
-            pos_meta[0][ti] = ppos
-            pos_meta[1][ti] = pw
-            pos_meta[2][ti] = pl
-            ppos += pl
-    with open(os.path.join(tmp, prefix + POSTINGS_FILE), "wb") as f:
-        for rg in regions:
-            f.write(rg)
-    if has_pos:
-        with open(os.path.join(tmp, prefix + POSITIONS_FILE), "wb") as f:
-            for b in pos_blobs:
-                f.write(b)
-    pay_off = None
-    if has_pay:
-        pay_off = write_payloads_file(
-            os.path.join(tmp, prefix + PAYLOADS_FILE), pay_cat, enc.ttfs
-        )
-    dfs = (term_ends - term_starts).astype(np.int64)
-    pq.write_table(
-        encode_term_table(all_terms, dfs, enc.ttfs, meta, pos_meta=pos_meta,
-                          pay_off=pay_off),
-        os.path.join(tmp, prefix + TERMS_FILE),
-        row_group_size=65536,
-    )
+    write_term_files(tmp, prefix, all_terms, enc)
     with open(os.path.join(tmp, prefix + NORMS_FILE), "wb") as f:
-        for v in views:
-            f.write(v.norms.tobytes())
+        f.write(norms.tobytes())
     return {
         "unique_terms": int(len(all_terms)),
-        "sum_doc_freq": int(dfs.sum()),
-        "sum_total_term_freq": int(freqs.sum()),
+        "sum_doc_freq": int(enc.dfs.sum()),
+        "sum_total_term_freq": int(enc.ttfs.sum()),
     }
 
 
@@ -193,7 +134,6 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str) -> 
         raise ValueError(
             f"refusing to merge segments with mixed has_positions: {seg_names}"
         )
-    has_pos = pos_flags.pop()
     tv_flags = {bool(getattr(r, "has_term_vectors", False)) for r in readers}
     if len(tv_flags) > 1:
         raise ValueError(
@@ -223,20 +163,19 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str) -> 
     os.makedirs(tmp, exist_ok=True)
     try:
         pfmt = IndexManifest.load(index_dir).postings_format
-        primary = _merge_field_views(readers, rebases, has_pos, tmp, "",
+        primary = _merge_field_views(readers, rebases, tmp, "",
                                      postings_format=pfmt)
         field_stats: dict = {}
         for fname in extra_names:
             views = [r.field_view(fname) for r in readers]
-            f_has_pos = views[0].has_positions  # homogeneous (guard above)
             fres = _merge_field_views(
-                views, rebases, f_has_pos, tmp, field_prefix(fname),
-                postings_format=pfmt,
+                views, rebases, tmp, field_prefix(fname), postings_format=pfmt,
             )
             fres["doc_count"] = sum(
                 int(r.stats.field_stats[fname]["doc_count"]) for r in readers
             )
-            fres["index_positions"] = f_has_pos
+            # homogeneous across the views (guard above)
+            fres["index_positions"] = views[0].has_positions
             field_stats[fname] = fres
         pq.write_table(
             pa.concat_tables([r.docmap() for r in readers]),
@@ -352,7 +291,7 @@ def compact_index(
     if not groups:
         return manifest
     jobs = [
-        {"segs": g, "out_name": f"{g[0]}_c{len(g)}"} for g in groups
+        {"segs": g, "out_name": manifest.new_segment_name(f"_c{len(g)}")} for g in groups
     ]
 
     if use_ray:
@@ -410,97 +349,23 @@ RECLAIM_DELETES_PCT = 0.33  # TieredMergePolicy deletesPct<=33 default spirit
 def _reclaim_field(view, keep: np.ndarray, remap: np.ndarray, tmp: str, prefix: str,
                    postings_format: str = "for") -> dict:
     """Rewrite ONE field's term table/postings/positions/norms keeping only
-    the ``keep`` local docIDs (sorted), renumbered via ``remap``. Terms
-    whose postings empty out are dropped (df=0 terms don't survive a
-    reclaiming merge). Returns the field's new stats."""
-    has_pos = view.has_positions
-    has_pay = bool(getattr(view, "has_payloads", False))
-    d_cat, f_cat, n_cat, p_cat, pay_cat = [], [], [], [], []
-    kept_terms: list = []
-    term_starts: list[int] = []
-    off = 0
+    the ``keep`` local docIDs (sorted), renumbered via ``remap`` (-1 =
+    dropped). Terms whose postings empty out are dropped (df=0 terms don't
+    survive a reclaiming merge). Returns the field's new stats."""
     norms_new = view.norms[keep]
-    for ti in range(len(view.terms)):
-        tp = view.postings_by_ord(ti)
-        d, f = tp.decode()
-        m = np.isin(d, keep)
-        if not m.any():
-            continue
-        d2 = remap[d[m]]
-        kept_terms.append(view.terms[ti])
-        term_starts.append(off)
-        d_cat.append(d2)
-        f_cat.append(f[m])
-        n_cat.append(norms_new[d2])
-        if has_pos:
-            pos = view.positions_by_ord(ti, f)
-            p_cat.append(pos[np.repeat(m, f)])
-        if has_pay:
-            pay_cat.append(view.payloads_by_ord(ti)[np.repeat(m, f)])
-        off += int(m.sum())
-    kt = np.asarray(kept_terms, dtype=object)
-    term_starts_a = np.asarray(term_starts, dtype=np.int64)
-    term_ends = np.append(term_starts_a[1:], off)
-    docs = np.concatenate(d_cat) if d_cat else np.empty(0, np.int64)
-    freqs = np.concatenate(f_cat) if f_cat else np.empty(0, np.int64)
-    norms_aligned = np.concatenate(n_cat) if n_cat else np.empty(0, np.uint8)
-    pos_stream = np.concatenate(p_cat) if has_pos and p_cat else None
-    enc = encode_segment_terms(docs, freqs, norms_aligned, term_starts_a, term_ends,
-                               pos_stream=pos_stream,
-                               postings_format=postings_format)
-    n_t = len(kt)
-    pos = ppos = 0
-    regions = []
-    meta = (np.zeros(n_t, np.int64), np.zeros(n_t, np.int32), np.zeros(n_t, np.int32),
-            np.zeros(n_t, np.int64), np.zeros(n_t, np.int64))
-    pos_meta = (
-        (np.zeros(n_t, np.int64), np.zeros(n_t, np.uint8), np.zeros(n_t, np.int64))
-        if has_pos else None
+    enc = rewrite_postings(
+        [_view_fragments(view, np.arange(len(view.terms)), 0)], remap,
+        norms=norms_new, postings_format=postings_format,
     )
-    pos_blobs = []
-    for ti in range(n_t):
-        region, nb, ni, ld, lf = enc.term_region(ti)
-        regions.append(region)
-        meta[0][ti] = pos
-        meta[1][ti] = nb
-        meta[2][ti] = ni
-        meta[3][ti] = ld
-        meta[4][ti] = lf
-        pos += len(region)
-        if has_pos:
-            pb, pw, pl = enc.term_positions_blob(ti)
-            pos_blobs.append(pb)
-            pos_meta[0][ti] = ppos
-            pos_meta[1][ti] = pw
-            pos_meta[2][ti] = pl
-            ppos += pl
-    with open(os.path.join(tmp, prefix + POSTINGS_FILE), "wb") as f:
-        for rg in regions:
-            f.write(rg)
-    if has_pos:
-        with open(os.path.join(tmp, prefix + POSITIONS_FILE), "wb") as f:
-            for b in pos_blobs:
-                f.write(b)
-    pay_off = None
-    if has_pay:
-        pay_off = write_payloads_file(
-            os.path.join(tmp, prefix + PAYLOADS_FILE), pay_cat, enc.ttfs
-        )
-    dfs = (term_ends - term_starts_a).astype(np.int64)
-    pq.write_table(
-        encode_term_table(kt, dfs, enc.ttfs, meta, pos_meta=pos_meta,
-                          pay_off=pay_off),
-        os.path.join(tmp, prefix + TERMS_FILE),
-        row_group_size=65536,
-    )
+    write_term_files(tmp, prefix, view.terms[enc.term_ords], enc)
     with open(os.path.join(tmp, prefix + NORMS_FILE), "wb") as f:
         f.write(norms_new.tobytes())
     return {
-        "unique_terms": int(n_t),
-        "sum_doc_freq": int(dfs.sum()),
-        "sum_total_term_freq": int(freqs.sum()),
+        "unique_terms": int(enc.n_terms),
+        "sum_doc_freq": int(enc.dfs.sum()),
+        "sum_total_term_freq": int(enc.ttfs.sum()),
         "doc_count": int((norms_new > 0).sum()),
-        "index_positions": bool(has_pos),
+        "index_positions": bool(view.has_positions),
     }
 
 
@@ -718,8 +583,10 @@ def reclaim_deletes(
 
     jobs = []
     new_base = 0
-    # monotonic reclaim generation: never reuse a live segment dir name
-    # (rewriting in place would lean on unlink-with-open-mmap semantics)
+    # reclaim generation: names the tombstone generation file and tags the
+    # rewritten segments; their names come fresh from the manifest counter,
+    # so a live segment dir is never rewritten in place (that would lean on
+    # unlink-with-open-mmap semantics)
     gens = [
         int(m.group(1))
         for seg in segs
@@ -729,9 +596,8 @@ def reclaim_deletes(
     for s in segs:
         lo, hi = s["doc_base"], s["doc_base"] + s["doc_count"]
         n_del = int(np.searchsorted(deleted, hi) - np.searchsorted(deleted, lo))
-        base = _re.sub(r"(_rc\d+)+$", "", s["seg_name"])
         jobs.append(
-            {"seg_name": s["seg_name"], "new_name": f"{base}_rc{gen}",
+            {"seg_name": s["seg_name"], "new_name": manifest.new_segment_name(f"_rc{gen}"),
              "new_doc_base": new_base}
         )
         new_base += s["doc_count"] - n_del + retained_counts.get(s["seg_name"], 0)
@@ -812,8 +678,6 @@ def reclaim_deletes(
         os.unlink(old_tpath)
     from ..state.commits import remove_segments_unless_pinned
 
-    remove_segments_unless_pinned(
-        index_dir, [j["seg_name"] for j in jobs if j["seg_name"] != j["new_name"]]
-    )
+    remove_segments_unless_pinned(index_dir, [j["seg_name"] for j in jobs])
     shutil.rmtree(os.path.join(index_dir, "merged"), ignore_errors=True)
     return manifest

@@ -42,20 +42,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.codec import decode_positions, encode_segment_terms
-from ..state.manifest import IndexManifest, atomic_write_json, load_json
+from ..functions.codec import TermFragments, rewrite_postings
+from ..state.manifest import STATS_NAME, IndexManifest, atomic_write_json, load_json
 from ..state.segment import (
     PAYLOADS_FILE,
     NORMS_FILE,
     POSITIONS_FILE,
     POSTINGS_FILE,
     TERMS_FILE,
-    SegmentReader,
-    encode_term_table,
-    parse_region,
-    write_payloads_file,
+    mmap_file,
+    write_term_files,
 )
 
 MERGED_MANIFEST = "merged.json"
@@ -315,6 +314,41 @@ def _empty_frag_table(has_pos: bool) -> pa.Table:
     return _frag_table(cols)
 
 
+def _ship_range(buf, starts: np.ndarray, end: int) -> pa.LargeBinaryArray:
+    """Binary values buf[starts[i]:starts[i+1]] (the last one ending at
+    ``end``) of one contiguous byte range, shipped as ONE copied slice."""
+    s0 = int(starts[0]) if len(starts) else 0
+    offsets = np.append(np.asarray(starts, dtype=np.int64) - s0, end - s0)
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(starts),
+        [None, pa.py_buffer(offsets), pa.py_buffer(np.array(buf[s0:end]))],
+    )
+
+
+def _term_range_cols(t: pa.Table, seg_dir: str, a: int, b: int, prefix: str) -> dict:
+    """Fragment columns of the sorted terms [a, b) of one segment: term
+    metadata plus the regions, positions and payloads of the range, each
+    one contiguous slice of its file."""
+    cols = {k: t[k].slice(a, b - a) for k in _FRAG_SCHEMA_COLS if k in t.column_names}
+    off = t["off"].to_numpy()
+    post = mmap_file(os.path.join(seg_dir, prefix + POSTINGS_FILE))
+    cols["region"] = _ship_range(post, off[a:b], int(off[b]) if b < len(off) else len(post))
+    if "pos_off" in t.column_names:
+        pos_off = t["pos_off"].to_numpy()
+        cols["pos_width"] = t["pos_width"].slice(a, b - a)
+        cols["pos_blob"] = _ship_range(
+            mmap_file(os.path.join(seg_dir, prefix + POSITIONS_FILE)), pos_off[a:b],
+            int(pos_off[b - 1] + t["len_pos"].to_numpy()[b - 1]),
+        )
+    if "pay_off" in t.column_names:
+        pay_off = t["pay_off"].to_numpy() * 4
+        cols["pay_blob"] = _ship_range(
+            mmap_file(os.path.join(seg_dir, prefix + PAYLOADS_FILE)), pay_off[a:b],
+            int(pay_off[b - 1] + 4 * t["total_term_freq"].to_numpy()[b - 1]),
+        )
+    return cols
+
+
 def assemble_range_group(
     seg_dirs: list[str],
     doc_bases: list[int],
@@ -328,11 +362,13 @@ def assemble_range_group(
 
     Region bytes for a term range are CONTIGUOUS in postings.bin (regions
     are written in sorted term order), so each segment contributes one
-    sequential read — the pull-shuffle property that replaces the
-    all-to-all exchange.
+    sequential read, shipped as one buffer — the pull-shuffle property
+    that replaces the all-to-all exchange. Hot terms (salted into their
+    own groups) are filtered out of the range.
     """
     parts = []
     has_pos = False
+    hot = pa.array(sorted(hot_set), type=pa.string())
     for seg_dir, doc_base in zip(seg_dirs, doc_bases):
         t = pq.read_table(os.path.join(seg_dir, prefix + TERMS_FILE))
         terms = np.asarray(t["term"].to_numpy(zero_copy_only=False), dtype=object)
@@ -340,62 +376,16 @@ def assemble_range_group(
         b = len(terms) if hi is None else int(np.searchsorted(terms, hi, side="left"))
         if a >= b:
             continue
-        keep = np.ones(b - a, dtype=bool)
-        if hot_set:
-            for i in range(a, b):
-                if terms[i] in hot_set:
-                    keep[i - a] = False
-        off = t["off"].to_numpy()
-        post = np.memmap(os.path.join(seg_dir, prefix + POSTINGS_FILE), dtype=np.uint8, mode="r")
-        ends = np.empty(len(terms), dtype=np.int64)
-        ends[:-1] = off[1:]
-        if len(terms):
-            ends[-1] = len(post)
-        idx = np.arange(a, b)[keep]
-        regions = [bytes(post[off[i] : ends[i]]) for i in idx]
-        m = len(idx)
-        cols = {
-            "term": pa.array(terms[idx], type=pa.string()),
-            "shard_id": pa.array(np.full(m, shard_id, dtype=np.int32)),
-            "doc_base": pa.array(np.full(m, doc_base, dtype=np.int64)),
-            "seg_dir": pa.array([seg_dir] * m, type=pa.string()),
-            "doc_freq": t["doc_freq"].take(idx),
-            "total_term_freq": t["total_term_freq"].take(idx),
-            "n_blocks": t["n_blocks"].take(idx),
-            "n_imp": t["n_imp"].take(idx),
-            "len_docs": t["len_docs"].take(idx),
-            "len_freqs": t["len_freqs"].take(idx),
-            "region": pa.array(regions, type=pa.large_binary()),
-        }
-        if "pos_off" in t.column_names:
-            has_pos = True
-            pos_off = t["pos_off"].to_numpy()
-            len_pos = t["len_pos"].to_numpy()
-            posf = np.memmap(
-                os.path.join(seg_dir, prefix + POSITIONS_FILE), dtype=np.uint8, mode="r"
-            )
-            cols["pos_width"] = t["pos_width"].take(idx)
-            cols["pos_blob"] = pa.array(
-                [bytes(posf[pos_off[i] : pos_off[i] + len_pos[i]]) for i in idx],
-                type=pa.large_binary(),
-            )
-        if "pay_off" in t.column_names:
-            pay_off = t["pay_off"].to_numpy()
-            ttf_arr = t["total_term_freq"].to_numpy()
-            pay_path = os.path.join(seg_dir, prefix + PAYLOADS_FILE)
-            payf = (
-                np.memmap(pay_path, dtype=np.uint8, mode="r")
-                if os.path.getsize(pay_path)
-                else np.empty(0, dtype=np.uint8)
-            )
-            cols["pay_blob"] = pa.array(
-                [
-                    bytes(payf[pay_off[i] * 4 : (pay_off[i] + ttf_arr[i]) * 4])
-                    for i in idx
-                ],
-                type=pa.large_binary(),
-            )
-        parts.append(_frag_table(cols))
+        cols = _term_range_cols(t, seg_dir, a, b, prefix)
+        m = b - a
+        cols["shard_id"] = pa.array(np.full(m, shard_id, dtype=np.int32))
+        cols["doc_base"] = pa.array(np.full(m, doc_base, dtype=np.int64))
+        cols["seg_dir"] = pa.array([seg_dir] * m, type=pa.string())
+        has_pos = has_pos or "pos_blob" in cols
+        frag = _frag_table(cols)
+        if len(hot):
+            frag = frag.filter(pc.invert(pc.is_in(frag["term"], value_set=hot)))
+        parts.append(frag)
     if not parts:
         return _empty_frag_table(has_pos)
     return pa.concat_tables(parts)
@@ -565,7 +555,7 @@ def merge_index_pull(
                     continue
                 out.append(write_merged_shard(
                     group, out_dir, fp, shard_id=spec["shard_id"],
-                    postings_format=manifest.postings_format,
+                    postings_format=manifest.postings_format, prefix=prefix,
                 ))
             return pa.Table.from_pylist(out) if out else pa.Table.from_pylist(
                 [{"shard_id": -1, "shard_name": "", "n_terms": 0, "sum_doc_freq": 0,
@@ -646,79 +636,59 @@ def merge_index_pull(
 def emit_fragments(
     seg_dir: str, seg_ord: int, n_segs: int, cfg: MergeConfig, hot_rank: dict[str, int]
 ):
-    """Yield fragment batches for one segment (stage B map task)."""
-    r = SegmentReader(seg_dir)
-    post = r._post
-    n_terms = len(r.terms)
-    # region byte ranges per term (contiguous by construction)
-    region_ends = np.empty(n_terms, dtype=np.int64)
-    region_ends[:-1] = r._off[1:]
-    if n_terms:
-        region_ends[-1] = len(post)
+    """Yield fragment batches for one segment (stage B map task): raw
+    packed regions only — postings are NOT decoded here; the reducer reads
+    the segment's norms from shared storage, so the shuffle ships each
+    posting region exactly once, nothing else."""
+    t = pq.read_table(os.path.join(seg_dir, TERMS_FILE))
+    terms = t["term"].to_pylist()
+    doc_base = int(load_json(os.path.join(seg_dir, STATS_NAME))["doc_base"])
     bucket = seg_ord * cfg.hot_buckets // n_segs
+    for s in range(0, len(terms), cfg.emit_chunk_terms):
+        e = min(s + cfg.emit_chunk_terms, len(terms))
+        cols = _term_range_cols(t, seg_dir, s, e, "")
+        cols["shard_id"] = pa.array(np.array([
+            _hot_shard_id(cfg, hot_rank[x], bucket) if x in hot_rank else shard_of(x, cfg.n_shards)
+            for x in terms[s:e]
+        ], dtype=np.int32))
+        cols["doc_base"] = pa.array(np.full(e - s, doc_base, dtype=np.int64))
+        cols["seg_dir"] = pa.array([seg_dir] * (e - s), type=pa.string())
+        yield _frag_table(cols)
 
-    for s in range(0, n_terms, cfg.emit_chunk_terms):
-        e = min(s + cfg.emit_chunk_terms, n_terms)
-        terms = r.terms[s:e]
-        shard_ids = np.empty(e - s, dtype=np.int32)
-        regions: list[bytes] = []
-        for i, term in enumerate(terms):
-            ti = s + i
-            hr = hot_rank.get(term)
-            shard_ids[i] = (
-                _hot_shard_id(cfg, hr, bucket) if hr is not None else shard_of(term, cfg.n_shards)
-            )
-            # raw packed region bytes only — postings are NOT decoded here;
-            # the reducer reads the segment's norms from shared storage, so
-            # the shuffle ships each posting region exactly once, nothing else
-            regions.append(bytes(post[r._off[ti] : region_ends[ti]]))
-        cols = {
-            "term": pa.array(terms, type=pa.string()),
-            "shard_id": pa.array(shard_ids),
-            "doc_base": pa.array(np.full(e - s, r.doc_base, dtype=np.int64)),
-            "seg_dir": pa.array([seg_dir] * (e - s), type=pa.string()),
-            "doc_freq": pa.array(r.doc_freqs[s:e]),
-            "total_term_freq": pa.array(r.ttfs[s:e]),
-            "n_blocks": pa.array(r._n_blocks[s:e]),
-            "n_imp": pa.array(r._n_imp[s:e]),
-            "len_docs": pa.array(r._len_docs[s:e]),
-            "len_freqs": pa.array(r._len_freqs[s:e]),
-            "region": pa.array(regions, type=pa.large_binary()),
-        }
-        if r.has_positions:
-            cols["pos_width"] = pa.array(r._pos_width[s:e], type=pa.uint8())
-            cols["pos_blob"] = pa.array(
-                [
-                    bytes(
-                        r._positions[
-                            int(r._pos_off[ti]) : int(r._pos_off[ti]) + int(r._len_pos[ti])
-                        ]
-                    )
-                    for ti in range(s, e)
-                ],
-                type=pa.large_binary(),
-            )
-        if getattr(r, "has_payloads", False):
-            pay_u8 = r._payloads.view(np.uint8) if len(r._payloads) else np.empty(0, np.uint8)
-            cols["pay_blob"] = pa.array(
-                [
-                    bytes(
-                        pay_u8[
-                            int(r._pay_off[ti]) * 4 : (int(r._pay_off[ti]) + int(r.ttfs[ti])) * 4
-                        ]
-                    )
-                    for ti in range(s, e)
-                ],
-                type=pa.large_binary(),
-            )
-        yield pa.table(cols)
+
+def _binary_values(col) -> tuple[np.ndarray, np.ndarray]:
+    """(data bytes, start of each value in them) of a binary column, read
+    in place from its Arrow buffers."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    offs = np.frombuffer(arr.buffers()[1], dtype=np.int64)[arr.offset : arr.offset + len(arr) + 1]
+    data = arr.buffers()[2]
+    if data is None or len(arr) == 0:
+        return np.empty(0, np.uint8), np.zeros(len(arr), np.int64)
+    return np.frombuffer(data, dtype=np.uint8)[offs[0] : offs[-1]], offs[:-1] - offs[0]
+
+
+def _group_norms(group: pa.Table, prefix: str) -> tuple[np.ndarray, int]:
+    """(norms over the group's docID span, first global docID of the span):
+    the field's norms of every segment in the group, loaded once from
+    shared storage (not shipped through the shuffle), placed at their
+    doc_base."""
+    bases, first = np.unique(group["doc_base"].to_numpy(), return_index=True)
+    seg_dirs = group["seg_dir"].take(pa.array(first)).to_pylist()
+    parts = [np.fromfile(os.path.join(sd, prefix + NORMS_FILE), dtype=np.uint8)
+             for sd in seg_dirs]
+    norms = np.zeros(int(bases[-1]) + len(parts[-1]) - int(bases[0]), dtype=np.uint8)
+    for b, n in zip(bases, parts):
+        norms[b - bases[0] : b - bases[0] + len(n)] = n
+    return norms, int(bases[0])
 
 
 def write_merged_shard(
     group: pa.Table, merged_dir: str, fingerprint: str, shard_id: int | None = None,
-    postings_format: str = "for",
+    postings_format: str = "for", prefix: str = "",
 ) -> dict:
-    """Reduce: merge one shard group's fragments, commit atomically."""
+    """Reduce: merge one shard group's fragments, commit atomically.
+    ``prefix`` names the field (state.segment.field_prefix) whose norms
+    the re-encoded impacts use."""
     if shard_id is None:
         shard_id = int(group["shard_id"][0].as_py())
     shard_name = f"shard_{shard_id:05d}"
@@ -730,140 +700,38 @@ def write_merged_shard(
             st["resumed"] = True
             return st
 
-    # sort fragments by (term, doc_base): concatenation order == docID order
-    idx = pa.compute.sort_indices(
-        group, sort_keys=[("term", "ascending"), ("doc_base", "ascending")]
+    # one vectorized decode of every fragment, docIDs rebased to GLOBAL ids
+    # (doc_base + local), re-encoded in one pass (rewrite_postings)
+    terms = np.asarray(group["term"].to_numpy(zero_copy_only=False), dtype=object)
+    uniq, term = np.unique(terms, return_inverse=True)
+    post, off = _binary_values(group["region"])
+    positions = payloads = None
+    if "pos_blob" in group.column_names:
+        positions = (*_binary_values(group["pos_blob"]), group["pos_width"].to_numpy())
+    if "pay_blob" in group.column_names:
+        pay, pay_off = _binary_values(group["pay_blob"])
+        payloads = (pay.view("<f4"), pay_off // 4)
+    norms, norms_base = _group_norms(group, prefix)
+    enc = rewrite_postings(
+        [TermFragments(
+            post, off, group["doc_freq"].to_numpy(), group["n_blocks"].to_numpy(),
+            group["n_imp"].to_numpy(), group["len_docs"].to_numpy(),
+            group["len_freqs"].to_numpy(), term=term,
+            doc_base=group["doc_base"].to_numpy(),
+            positions=positions, payloads=payloads,
+        )],
+        norms=norms, norms_base=norms_base, postings_format=postings_format,
     )
-    g = group.take(idx)
-    terms = np.asarray(g["term"].to_numpy(zero_copy_only=False), dtype=object)
-    doc_bases = g["doc_base"].to_numpy()
-    seg_dirs = g["seg_dir"].to_pylist()
-    dfs = g["doc_freq"].to_numpy()
-    ttfs = g["total_term_freq"].to_numpy()
-    n_blocks = g["n_blocks"].to_numpy()
-    n_imps = g["n_imp"].to_numpy()
-    len_docs = g["len_docs"].to_numpy()
-    len_freqs = g["len_freqs"].to_numpy()
-    regions = g["region"].to_pylist()
-    has_pos = "pos_blob" in g.column_names
-    pos_blobs = g["pos_blob"].to_pylist() if has_pos else None
-    pos_widths = g["pos_width"].to_numpy() if has_pos else None
-    has_pay = "pay_blob" in g.column_names
-    pay_blobs = g["pay_blob"].to_pylist() if has_pay else None
-
-    # segment norms from shared storage, loaded once per segment per reducer
-    # (not shipped through the shuffle)
-    norms_cache: dict[str, np.ndarray] = {}
-
-    def seg_norms(sd: str) -> np.ndarray:
-        arr = norms_cache.get(sd)
-        if arr is None:
-            arr = np.fromfile(os.path.join(sd, NORMS_FILE), dtype=np.uint8)
-            norms_cache[sd] = arr
-        return arr
-
-    uniq, starts = np.unique(terms, return_index=True)
-    order = np.argsort(starts)
-    uniq = uniq[order]
-    starts = starts[order]
-    ends = np.append(starts[1:], len(terms))
-
-    out_regions: list[bytes] = []
-    meta = (np.zeros(len(uniq), np.int64), np.zeros(len(uniq), np.int32),
-            np.zeros(len(uniq), np.int32), np.zeros(len(uniq), np.int64),
-            np.zeros(len(uniq), np.int64))
-    out_dfs = np.zeros(len(uniq), np.int64)
-    out_ttfs = np.zeros(len(uniq), np.int64)
-    out_pos_blobs: list[bytes] = []
-    pos_meta = (
-        (np.zeros(len(uniq), np.int64), np.zeros(len(uniq), np.uint8),
-         np.zeros(len(uniq), np.int64))
-        if has_pos
-        else None
-    )
-
-    # decode every fragment, concatenate into whole-shard arrays with term
-    # boundaries, then batch-encode all terms in one vectorized pass
-    # (codec.encode_segment_terms — the same fast path the segment flush uses)
-    d_cat, f_cat, n_cat, p_cat, pay_cat = [], [], [], [], []
-    term_starts = np.zeros(len(uniq), dtype=np.int64)
-    off = 0
-    for ui in range(len(uniq)):
-        s, e = int(starts[ui]), int(ends[ui])
-        term_starts[ui] = off
-        for fi in range(s, e):
-            tp = parse_region(
-                regions[fi], int(dfs[fi]), int(n_blocks[fi]), int(n_imps[fi]),
-                int(len_docs[fi]), int(len_freqs[fi]),
-            )
-            d, f = tp.decode()
-            d_cat.append(d + doc_bases[fi])  # -> global docIDs
-            f_cat.append(f)
-            n_cat.append(seg_norms(seg_dirs[fi])[d])
-            if has_pos:
-                # positions are doc-local: fragment streams concatenate in
-                # doc_base order with no remap, then re-pack at the new width
-                p_cat.append(decode_positions(pos_blobs[fi], int(pos_widths[fi]), f))
-            if has_pay:
-                # payloads ride as raw float32 bytes, same concat order
-                pay_cat.append(np.frombuffer(pay_blobs[fi], dtype="<f4"))
-            off += len(d)
-        out_ttfs[ui] = int(ttfs[s:e].sum())
-    term_ends = np.append(term_starts[1:], off)
-    docs_all = np.concatenate(d_cat) if d_cat else np.empty(0, np.int64)
-    freqs_all = np.concatenate(f_cat) if f_cat else np.empty(0, np.int64)
-    norms_all = np.concatenate(n_cat) if n_cat else np.empty(0, np.uint8)
-    pos_all = np.concatenate(p_cat) if has_pos and p_cat else None
-    enc = encode_segment_terms(
-        docs_all, freqs_all, norms_all, term_starts, term_ends, pos_stream=pos_all,
-        postings_format=postings_format,
-    )
-    pos = 0
-    ppos = 0
-    for ui in range(len(uniq)):
-        region, nb, ni, ld, lf = enc.term_region(ui)
-        out_regions.append(region)
-        meta[0][ui] = pos
-        meta[1][ui] = nb
-        meta[2][ui] = ni
-        meta[3][ui] = ld
-        meta[4][ui] = lf
-        out_dfs[ui] = int(term_ends[ui] - term_starts[ui])
-        pos += len(region)
-        if has_pos:
-            pblob, pw, pl = enc.term_positions_blob(ui)
-            out_pos_blobs.append(pblob)
-            pos_meta[0][ui] = ppos
-            pos_meta[1][ui] = pw
-            pos_meta[2][ui] = pl
-            ppos += pl
 
     tmp = os.path.join(merged_dir, f".{shard_name}.tmp-{uuid.uuid4().hex[:8]}")
     os.makedirs(tmp, exist_ok=True)
     try:
-        with open(os.path.join(tmp, POSTINGS_FILE), "wb") as f:
-            for rg in out_regions:
-                f.write(rg)
-        if has_pos:
-            with open(os.path.join(tmp, POSITIONS_FILE), "wb") as f:
-                for b in out_pos_blobs:
-                    f.write(b)
-        pay_off = None
-        if has_pay:
-            pay_off = write_payloads_file(
-                os.path.join(tmp, PAYLOADS_FILE), pay_cat, out_ttfs
-            )
-        pq.write_table(
-            encode_term_table(uniq, out_dfs, out_ttfs, meta, pos_meta=pos_meta,
-                              pay_off=pay_off),
-            os.path.join(tmp, TERMS_FILE),
-            row_group_size=65536,
-        )
+        write_term_files(tmp, "", uniq, enc)
         st = {
             "shard_id": shard_id,
             "shard_name": shard_name,
             "n_terms": int(len(uniq)),
-            "sum_doc_freq": int(out_dfs.sum()),
+            "sum_doc_freq": int(enc.dfs.sum()),
             "fingerprint": fingerprint,
             "resumed": False,
         }
@@ -1007,7 +875,7 @@ def merge_index_local(index_dir: str, cfg: MergeConfig | None = None) -> dict:
     all_frags = pa.concat_tables(frags)
     shard_stats = []
     for sid in np.unique(all_frags["shard_id"].to_numpy()):
-        group = all_frags.filter(pa.compute.equal(all_frags["shard_id"], int(sid)))
+        group = all_frags.filter(pc.equal(all_frags["shard_id"], int(sid)))
         shard_stats.append(write_merged_shard(
             group, merged_dir, fp, postings_format=manifest.postings_format))
     return _finalize(index_dir, merged_dir, manifest, cfg, hot_terms, shard_stats)

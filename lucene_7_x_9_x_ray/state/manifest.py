@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, field
 from dataclasses import field as _dc_field  # usable where an attr named "field" shadows
@@ -201,6 +202,24 @@ class IndexManifest:
     # "" = manifest predates the field; resolve from segment artifacts
     # (stages/build.py resolve_index_options) rather than guessing.
     index_options: str = ""
+    # next segment number (the SegmentInfos.counter role): build, append,
+    # addIndexes, compaction and reclaim all name new segments from it, so
+    # no two segments ever share a name. -1 = a manifest that predates the
+    # counter: resolved to 1 + the largest leading number in use.
+    counter: int = -1
+
+    def __post_init__(self):
+        if self.counter < 0:
+            nums = [int(m.group(1)) for s in self.segments
+                    if (m := re.match(r"seg_(\d+)", s["seg_name"]))]
+            self.counter = 1 + max(nums, default=-1)
+
+    def new_segment_name(self, suffix: str = "") -> str:
+        """Take the next segment name from the counter (committed with the
+        next save; a retry after a crash reuses the same names)."""
+        name = f"seg_{self.counter:06d}{suffix}"
+        self.counter += 1
+        return name
 
     @property
     def avgdl_inputs(self) -> tuple[int, int]:

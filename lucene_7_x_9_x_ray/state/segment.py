@@ -344,81 +344,20 @@ def _write_field_artifacts(
         starts = ends = np.empty(0, dtype=np.int64)
         docs_s = freqs_s = np.empty(0, dtype=np.int64)
 
-    offsets = np.zeros(len(uniq_terms), dtype=np.int64)
-    n_blocks_arr = np.zeros(len(uniq_terms), dtype=np.int32)
-    n_imp_arr = np.zeros(len(uniq_terms), dtype=np.int32)
-    len_docs_arr = np.zeros(len(uniq_terms), dtype=np.int64)
-    len_freqs_arr = np.zeros(len(uniq_terms), dtype=np.int64)
-    dfs = (ends - starts).astype(np.int64)
-    ttfs = np.zeros(len(uniq_terms), dtype=np.int64)
-
-    n_terms_total = len(uniq_terms)
-    pos_off_arr = np.zeros(n_terms_total, dtype=np.int64)
-    pos_width_arr = np.zeros(n_terms_total, dtype=np.uint8)
-    len_pos_arr = np.zeros(n_terms_total, dtype=np.int64)
-    pos_blobs: list[bytes] = []
-
     # batch-encode the whole segment in vectorized passes (the per-term
-    # Python encode loop was the flush hot spot on realistic doc sizes)
+    # Python encode loop was the flush hot spot on realistic doc sizes);
+    # a field with no tokens still gets its positions / payloads files
+    if index_positions and pos_s is None:
+        pos_s = np.empty(0, dtype=np.int64)
+    if payload_delimiter is not None and pay_s is None:
+        pay_s = np.empty(0, dtype=np.float32)
     seg_enc = codec.encode_segment_terms(
         docs_s, freqs_s, norms[docs_s] if len(docs_s) else norms[:0],
-        starts, ends,
-        pos_stream=pos_s if index_positions else None,
-        postings_format=postings_format,
+        starts, ends, pos_stream=pos_s, postings_format=postings_format,
+        payloads=pay_s,
     )
-    regions: list[bytes] = []
-    pos = 0
-    ppos = 0
-    for ti in range(len(uniq_terms)):
-        region, nb, ni, ld, lf = seg_enc.term_region(ti)
-        regions.append(region)
-        offsets[ti] = pos
-        n_blocks_arr[ti] = nb
-        n_imp_arr[ti] = ni
-        len_docs_arr[ti] = ld
-        len_freqs_arr[ti] = lf
-        ttfs[ti] = seg_enc.ttfs[ti]
-        pos += len(region)
-        if index_positions:
-            pblob, pw, pl = seg_enc.term_positions_blob(ti)
-            pos_blobs.append(pblob)
-            pos_off_arr[ti] = ppos
-            pos_width_arr[ti] = pw
-            len_pos_arr[ti] = pl
-            ppos += pl
-
-    with open(os.path.join(tmp, prefix + POSTINGS_FILE), "wb") as f:
-        for r in regions:
-            f.write(r)
-
-    pos_meta = None
-    if index_positions:
-        with open(os.path.join(tmp, prefix + POSITIONS_FILE), "wb") as f:
-            for b in pos_blobs:
-                f.write(b)
-        pos_meta = (pos_off_arr, pos_width_arr, len_pos_arr)
-
-    pay_off = None
-    if payload_delimiter is not None:
-        # the .pay stream: raw float32 per position in the SAME (term, doc,
-        # position) order as positions.bin; term ti's slice starts at its
-        # first token index (length = ttf, implied)
-        if pay_s is None:
-            pay_s = np.empty(0, dtype=np.float32)
-        with open(os.path.join(tmp, prefix + PAYLOADS_FILE), "wb") as f:
-            f.write(np.ascontiguousarray(pay_s, dtype="<f4").tobytes())
-        if len(uniq_terms):
-            pay_off = np.searchsorted(inv_st, np.arange(len(uniq_terms))).astype(np.int64)
-        else:
-            pay_off = np.empty(0, dtype=np.int64)
-
-    terms_table = encode_term_table(
-        uniq_terms, dfs, ttfs,
-        (offsets, n_blocks_arr, n_imp_arr, len_docs_arr, len_freqs_arr),
-        pos_meta=pos_meta,
-        pay_off=pay_off,
-    )
-    pq.write_table(terms_table, os.path.join(tmp, prefix + TERMS_FILE), row_group_size=65536)
+    write_term_files(tmp, prefix, uniq_terms, seg_enc)
+    dfs = seg_enc.dfs
 
     with open(os.path.join(tmp, prefix + NORMS_FILE), "wb") as f:
         f.write(norms.astype(np.uint8).tobytes())
@@ -679,20 +618,32 @@ def parse_region(region, doc_freq: int, n_blocks: int, n_imp: int,
     )
 
 
-def write_payloads_file(path: str, pay_cat: list, ttfs: np.ndarray) -> np.ndarray:
-    """Write a payloads.bin from per-term float32 chunks (already in final
-    (term, doc, position) order) and return the per-term entry offsets
-    (first-token index; length = ttf implied) for encode_term_table's
-    ``pay_off``. Shared by the segment writer's merge/compact/reclaim
-    callers so the .pay layout lives in one place."""
-    pay_all = np.concatenate(pay_cat) if pay_cat else np.empty(0, np.float32)
-    with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(pay_all, dtype="<f4").tobytes())
-    ttfs = np.asarray(ttfs, dtype=np.int64)
-    pay_off = np.zeros(len(ttfs), dtype=np.int64)
-    if len(ttfs):
-        np.cumsum(ttfs[:-1], out=pay_off[1:])
-    return pay_off
+def write_term_files(out_dir: str, prefix: str, terms, enc: codec.SegmentEncoding) -> None:
+    """Write one field's postings.bin, positions.bin (when the encoding has
+    positions), payloads.bin (when it carries payloads) and terms.parquet
+    from a SegmentEncoding — the one term-file writer of the segment
+    flush, the merge shards, compaction and reclaim. The .pay stream is
+    raw float32 per position in the SAME (term, doc, position) order as
+    positions.bin; term ti's slice starts at its first token index
+    (length = ttf, implied)."""
+    post, meta, pos, pos_meta = enc.term_files()
+    with open(os.path.join(out_dir, prefix + POSTINGS_FILE), "wb") as f:
+        f.write(post)
+    if enc.has_positions:
+        with open(os.path.join(out_dir, prefix + POSITIONS_FILE), "wb") as f:
+            f.write(pos)
+    pay_off = None
+    if enc.payloads is not None:
+        with open(os.path.join(out_dir, prefix + PAYLOADS_FILE), "wb") as f:
+            f.write(np.ascontiguousarray(enc.payloads, dtype="<f4"))
+        pay_off = np.cumsum(enc.ttfs) - enc.ttfs
+    pq.write_table(
+        encode_term_table(terms, enc.dfs, enc.ttfs, meta,
+                          pos_meta=pos_meta if enc.has_positions else None,
+                          pay_off=pay_off),
+        os.path.join(out_dir, prefix + TERMS_FILE),
+        row_group_size=65536,
+    )
 
 
 def encode_term_table(
@@ -725,6 +676,16 @@ def encode_term_table(
     return pa.table(cols)
 
 
+def mmap_file(path: str, dtype=np.uint8) -> np.ndarray:
+    """Read-only memory map of a segment stream. A tiny shard can
+    legitimately own ZERO bytes of a stream (e.g. every term in its range
+    is position-free after filtering) — mmap refuses empty files, numpy
+    arrays don't."""
+    if os.path.getsize(path) == 0:
+        return np.empty(0, dtype=dtype)
+    return np.memmap(path, dtype=dtype, mode="r")
+
+
 class TermTableReader:
     """Shared reader core for any directory holding terms.parquet +
     postings.bin (+ positions.bin): sorted-dict lookup, region parsing,
@@ -742,31 +703,18 @@ class TermTableReader:
         self._n_imp = t["n_imp"].to_numpy()
         self._len_docs = t["len_docs"].to_numpy()
         self._len_freqs = t["len_freqs"].to_numpy()
-        def _mmap_u8(path: str) -> np.ndarray:
-            # a tiny shard can legitimately own ZERO bytes of a stream
-            # (e.g. every term in its range is position-free after
-            # filtering) — mmap refuses empty files, numpy arrays don't
-            if os.path.getsize(path) == 0:
-                return np.empty(0, dtype=np.uint8)
-            return np.memmap(path, dtype=np.uint8, mode="r")
-
-        self._post = _mmap_u8(os.path.join(dir_path, prefix + POSTINGS_FILE))
+        self._post = mmap_file(os.path.join(dir_path, prefix + POSTINGS_FILE))
         self.has_positions = "pos_off" in t.column_names
         if self.has_positions:
             self._pos_off = t["pos_off"].to_numpy()
             self._pos_width = t["pos_width"].to_numpy()
             self._len_pos = t["len_pos"].to_numpy()
-            self._positions = _mmap_u8(
-                os.path.join(dir_path, prefix + POSITIONS_FILE)
-            )
+            self._positions = mmap_file(os.path.join(dir_path, prefix + POSITIONS_FILE))
         self.has_payloads = "pay_off" in t.column_names
         if self.has_payloads:
             self._pay_off = t["pay_off"].to_numpy()
-            pay_path = os.path.join(dir_path, prefix + PAYLOADS_FILE)
-            self._payloads = (
-                np.memmap(pay_path, dtype="<f4", mode="r")
-                if os.path.getsize(pay_path)
-                else np.empty(0, dtype=np.float32)
+            self._payloads = mmap_file(
+                os.path.join(dir_path, prefix + PAYLOADS_FILE), dtype="<f4"
             )
 
     def lookup(self, term: str) -> int:

@@ -146,3 +146,60 @@ def test_compaction_after_append(ray_session, tmp_path):
         td1 = after.search(q, k=30, total_hits_threshold=1 << 30)
         assert list(td0.doc_ids) == list(td1.doc_ids)
         assert np.array_equal(td0.scores, td1.scores)
+
+
+def test_append_after_compaction_reclaim_and_add_indexes(ray_session, tmp_path):
+    """Every new segment takes its name from the manifest's counter, so
+    append -> compact -> append -> delete + reclaim -> append -> addIndexes
+    runs with unique segment names, passes check_index, and scores
+    exactly like a fresh build of the same live documents in order."""
+    import pyarrow as pa
+
+    from lucene_7_x_9_x_ray.stages.build import add_indexes
+    from lucene_7_x_9_x_ray.stages.compact import (
+        CompactionPolicy,
+        compact_index,
+        reclaim_deletes,
+    )
+    from lucene_7_x_9_x_ray.state.livedocs import delete_docs, load_tombstones
+    from lucene_7_x_9_x_ray.state.manifest import IndexManifest
+
+    batches, paths = [], []
+    for i, n in enumerate([200, 60, 60, 60, 80]):
+        b = generate_pages(n, seed=70 + i, vocab_size=60, mean_tokens=22, dup_url_frac=0)
+        b = b.set_column(b.schema.get_field_index("url"), "url",
+                         pa.array([f"b{i}-{j}" for j in range(n)], pa.string()))
+        paths.append(str(tmp_path / f"batch{i}.parquet"))
+        write_pages_parquet(b, paths[-1], rows_per_row_group=100)
+        batches.append(b)
+    cfg = BuildConfig(target_docs_per_segment=100)
+    idx = str(tmp_path / "idx")
+    build_index([paths[0]], idx, cfg)
+    append_index([paths[1]], idx, cfg)
+    compact_index(idx, CompactionPolicy(max_merge_at_once=3))
+    assert len(IndexManifest.load(idx).segments) == 1
+    append_index([paths[2]], idx, cfg)
+    n = IndexManifest.load(idx).doc_count
+    dead = np.arange(0, n, 3)
+    delete_docs(idx, dead)
+    reclaim_deletes(idx, force=True)
+    assert len(load_tombstones(idx)) == 0
+    append_index([paths[3]], idx, cfg)
+    other = str(tmp_path / "other")
+    build_index([paths[4]], other, cfg)
+    add_indexes(idx, [other])
+
+    check_index(idx)
+    names = [s["seg_name"] for s in IndexManifest.load(idx).segments]
+    assert len(names) == len(set(names)) == 4
+
+    first = pa.concat_tables(batches[:3])
+    keep = np.setdiff1d(np.arange(n), dead)
+    fresh_path = str(tmp_path / "fresh.parquet")
+    write_pages_parquet(pa.concat_tables([first.take(keep), *batches[3:]]), fresh_path,
+                        rows_per_row_group=100)
+    fresh = str(tmp_path / "fresh")
+    build_index([fresh_path], fresh, cfg)
+    sa, sb = IndexSearcher(idx), IndexSearcher(fresh)
+    assert sa.doc_count == sb.doc_count and sa.sum_total_term_freq == sb.sum_total_term_freq
+    _assert_same_results(sa, sb)
