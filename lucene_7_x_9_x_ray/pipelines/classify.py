@@ -13,12 +13,13 @@ Ray-Data-first.
   Ray-Data shape: the training statistics are ONE streaming pass over the
   corpus — ``map_batches`` emits tiny per-batch partial count rows
   (class doc counts, per-(class, query-word) doc hits, distinct
-  (doc, term) pair count) which a ``groupby().sum()`` over the
-  vocabulary-sized partial stream folds into the model. The corpus never
-  shuffles; only (classes x query-vocab) count rows move. Classification
-  of the (small) input set is then pure arithmetic against the broadcast
-  model — at 100 TB the same kernel classifies a full corpus via
-  ``map_batches`` with the model in ``ray.put``.
+  (doc, term) pair count) which one keyed pass (``keyed_reduce`` by
+  (kind, key)) folds into the model. The corpus never shuffles; only
+  (classes x query-vocab) count rows move. Classification of the (small)
+  input set is then pure arithmetic against the model; corpus-wide, the
+  (classes x vocab) log-probability arrays are built once on the driver,
+  broadcast through ``ray.put`` and applied by a plain task
+  ``map_batches``.
 
 * ``KNearestNeighborClassifier`` (KNearestNeighborClassifier.java:98) —
   MoreLikeThis query from the input text, top-k BM25 hits over the index,
@@ -40,8 +41,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.hashing import md5_lower64_array
 from ..functions.rounding import round_half_away
-from .common import sized_read
+from .common import keyed_reduce, sized_read
+from .dedup import _to_table
 
 # classification corpus: the documents table; class field = lang,
 # text field = text (space-tokenized, the repo-wide oracle convention)
@@ -133,22 +136,35 @@ def _nb_partials(batch: pa.Table, vocab: np.ndarray) -> pa.Table:
     )
 
 
-def nb_model(sf_dir: str, vocab: set[str] | None) -> dict:
-    """One streaming corpus pass -> the tiny NB model dict. The groupby
-    folds (classes x vocab)-sized partial rows, never corpus rows.
-    ``vocab=None`` keeps every corpus term (the corpus-classification
-    model; fine while |classes| x |vocab| fits an actor — at web-scale
-    vocabularies, swap the broadcast for a (class, term) equijoin)."""
+def _nb_counts(sf_dir: str, vocab: set[str] | None) -> pa.Table:
+    """One streaming corpus pass -> the NB statistics as a (kind, key,
+    cnt) table. The keyed pass folds (classes x vocab)-sized partial rows,
+    never corpus rows."""
     varr = None if vocab is None else np.array(sorted(vocab), dtype="U")
     ds = sized_read(f"{sf_dir}/documents.parquet",
                     columns=["doc_id", "text", "lang"])
     parts = ds.map_batches(
         lambda b: _nb_partials(b, varr), batch_format="pyarrow"
     )
-    agg = parts.groupby(["kind", "key"]).sum("cnt")
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(["kind", "key"]).aggregate([("cnt", "sum")])
+        return pa.table({"kind": g["kind"], "key": g["key"], "cnt": g["cnt_sum"]})
+
+    return _to_table(keyed_reduce(
+        parts, lambda b: md5_lower64_array(b["key"].to_pylist()), fold))
+
+
+def nb_model(sf_dir: str, vocab: set[str] | None) -> dict:
+    """The tiny NB model dict: {"cls": {lang: docs}, "hit": {(lang, term):
+    docs}, "sdf": distinct (doc, term) pairs, "docs": docs with a token}.
+    ``vocab=None`` keeps every corpus term (the corpus-classification
+    model; fine while |classes| x |vocab| fits a worker — at web-scale
+    vocabularies, swap the broadcast for a (class, term) equijoin)."""
+    t = _nb_counts(sf_dir, vocab)
     model: dict = {"cls": {}, "hit": {}, "sdf": 0, "docs": 0}
-    for row in agg.take_all():  # classes x vocab rows — tiny by design
-        kind, key, n = row["kind"], row["key"], int(row["sum(cnt)"])
+    for kind, key, n in zip(t["kind"].to_pylist(), t["key"].to_pylist(),
+                            t["cnt"].to_pylist()):
         if kind == "cls":
             model["cls"][key] = n
         elif kind == "hit":
@@ -460,96 +476,98 @@ def q_classify_perceptron(sf_dir: str) -> pa.Table:
     )
 
 
-# --- corpus-wide NB classification: broadcast model + map_batches ------------
+# --- corpus-wide NB classification: broadcast arrays + map_batches -----------
 
 
-class NbCorpusClassifier:
-    """Actor-pool stage: classify EVERY doc with a broadcast NB model.
-    ``__init__`` turns the model into a (classes x vocab) log-probability
-    matrix once per actor; ``__call__`` scores one Arrow batch with
+def _nb_arrays(t: pa.Table) -> dict:
+    """(kind, key, cnt) counts -> the corpus-apply arrays, built once on
+    the driver: sorted classes, sorted vocab, the (classes x vocab)
+    log-probability matrix, and per-class prior and unseen-term logs.
+    Each entry is ``math.log`` of the same double the pointwise
+    ``nb_scores`` takes the log of, so both paths add identical terms."""
+    kind = t["kind"]
+    cls = t.filter(pc.equal(kind, "cls")).sort_by("key")
+    sd = t.filter(pc.is_in(kind, pa.array(["sdf", "docs"])))
+    scal = dict(zip(sd["kind"].to_pylist(), sd["cnt"].to_pylist()))
+    classes = np.array(cls["key"].to_pylist(), dtype="U")
+    dfc = cls["cnt"].to_numpy().astype(np.float64)
+    dwc = float(dfc.sum())
+    den = scal["sdf"] / float(scal["docs"]) * dfc + dwc
+    prior = np.array([math.log(d) - math.log(dwc) for d in dfc.tolist()])
+    miss = np.array([math.log(1.0 / d) for d in den.tolist()])
+    hit = t.filter(pc.equal(kind, "hit"))
+    parts = pc.split_pattern(hit["key"], "\x1f", max_splits=1)
+    langs = np.array(pc.list_element(parts, 0).to_pylist(), dtype="U")
+    terms = np.array(pc.list_element(parts, 1).to_pylist(), dtype="U")
+    vocab = np.unique(terms)
+    ci = np.searchsorted(classes, langs)
+    vi = np.searchsorted(vocab, terms)
+    logp = np.repeat(miss[:, None], len(vocab), axis=1)
+    ratio = (hit["cnt"].to_numpy().astype(np.float64) + 1.0) / den[ci]
+    logp[ci, vi] = [math.log(x) for x in ratio.tolist()]
+    return {"classes": classes, "vocab": vocab, "logp": logp,
+            "prior": prior, "miss": miss}
+
+
+def _nb_classify(batch: pa.Table, arrays_ref) -> pa.Table:
+    """Classify one Arrow batch with the broadcast ``_nb_arrays``:
     explode + searchsorted + per-class segmented reduceat (token sums in
     document order — the oracle's ordered aggregate), then the per-row
-    softmax/argmax (|classes|-sized, bounded)."""
+    softmax/argmax (|classes|-sized, bounded). Appends (predicted,
+    prob_r); every input column but ``text`` passes through."""
+    import ray
 
-    def __init__(self, model_ref):
-        import ray
+    m = ray.get(arrays_ref)
+    classes, vocab, logp, prior, miss = (
+        m["classes"], m["vocab"], m["logp"], m["prior"], m["miss"])
+    toks = pc.split_pattern(batch["text"], pattern=" ")
+    flat = pc.list_flatten(toks)
+    parents = pc.list_parent_indices(toks).to_numpy()
+    n = batch.num_rows
+    terms = flat.to_numpy(zero_copy_only=False).astype("U")
+    idx = np.searchsorted(vocab, terms)
+    idx_c = np.minimum(idx, len(vocab) - 1)
+    known = vocab[idx_c] == terms
+    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]]) \
+        if len(parents) else np.array([], np.int64)
+    clv = np.tile(prior[:, None], (1, n))
+    for ci in range(len(classes)):
+        vals = np.where(known, logp[ci][idx_c], miss[ci])
+        if len(starts):
+            # reduceat folds LEFT-TO-RIGHT inside each doc segment —
+            # the oracle's sum(... ORDER BY pos) op order
+            sums = np.add.reduceat(vals, starts)
+            clv[ci, parents[starts]] = prior[ci] + sums
+    names = classes.tolist()
+    out_lang, out_prob = [], []
+    for i in range(n):  # |classes|-bounded per row (softmax + argmax)
+        lang, prob = softmax_norm(
+            [(c, float(clv[ci, i])) for ci, c in enumerate(names)]
+        )[0]
+        out_lang.append(lang)
+        out_prob.append(round_half_away(prob, 6))
+    return batch.drop_columns(["text"]) \
+        .append_column("predicted", pa.array(out_lang, pa.string())) \
+        .append_column("prob_r", pa.array(out_prob, pa.float64()))
 
-        model = ray.get(model_ref) if not isinstance(model_ref, dict) \
-            else model_ref
-        self.classes = sorted(model["cls"])
-        dwc = sum(model["cls"].values())
-        avg_unique = model["sdf"] / float(model["docs"])
-        vocab = sorted({t for _, t in model["hit"]})
-        self.vocab = np.array(vocab, dtype="U")
-        vidx = {t: i for i, t in enumerate(vocab)}
-        self.logp = np.empty((len(self.classes), len(vocab)), np.float64)
-        self.miss = np.empty(len(self.classes), np.float64)
-        self.prior = np.empty(len(self.classes), np.float64)
-        for ci, c in enumerate(self.classes):
-            dfc = model["cls"][c]
-            den = avg_unique * dfc + dwc
-            self.prior[ci] = math.log(float(dfc)) - math.log(float(dwc))
-            self.miss[ci] = math.log(1.0 / den)
-            row = np.full(len(vocab), self.miss[ci], np.float64)
-            for (lang, term), h in model["hit"].items():
-                if lang == c:
-                    row[vidx[term]] = math.log((h + 1.0) / den)
-            self.logp[ci] = row
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(batch["text"], pattern=" ")
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks).to_numpy()
-        n = batch.num_rows
-        terms = flat.to_numpy(zero_copy_only=False).astype("U")
-        idx = np.searchsorted(self.vocab, terms)
-        idx_c = np.minimum(idx, len(self.vocab) - 1)
-        known = self.vocab[idx_c] == terms
-        starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]]) \
-            if len(parents) else np.array([], np.int64)
-        clv = np.tile(self.prior[:, None], (1, n))
-        for ci in range(len(self.classes)):
-            vals = np.where(known, self.logp[ci][idx_c], self.miss[ci])
-            if len(starts):
-                # reduceat folds LEFT-TO-RIGHT inside each doc segment —
-                # the oracle's sum(... ORDER BY pos) op order
-                sums = np.add.reduceat(vals, starts)
-                clv[ci, parents[starts]] = self.prior[ci] + sums
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        out_doc, out_lang, out_prob = [], [], []
-        for i in range(n):  # |classes|-bounded per row (softmax + argmax)
-            scored = softmax_norm(
-                [(c, float(clv[ci, i]))
-                 for ci, c in enumerate(self.classes)]
-            )
-            lang, prob = scored[0]
-            out_doc.append(int(doc_ids[i]))
-            out_lang.append(lang)
-            out_prob.append(round_half_away(prob, 6))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, pa.int64()),
-                "lang": pa.array(out_lang, pa.string()),
-                "prob_r": pa.array(out_prob, pa.float64()),
-            }
-        )
+def _nb_classified(sf_dir: str, columns: list[str]):
+    """Every corpus doc NB-classified: the model trains in one keyed
+    pass, its arrays broadcast once via ray.put, and a plain task
+    map_batches applies them corpus-wide."""
+    import ray
+
+    ref = ray.put(_nb_arrays(_nb_counts(sf_dir, vocab=None)))
+    ds = sized_read(f"{sf_dir}/documents.parquet", columns=columns)
+    return ds.map_batches(_nb_classify, fn_args=(ref,), batch_size=512,
+                          batch_format="pyarrow")
 
 
 def q_classify_nb_corpus(sf_dir: str) -> pa.Table:
-    """Gate: NB-classify EVERY corpus doc (argmax class + softmax prob) —
-    the model trains in one distributed pass, broadcasts once via
-    ray.put, and applies corpus-wide through an actor-pool map_batches:
+    """Gate: NB-classify EVERY corpus doc (argmax class + softmax prob):
     (doc_id, lang, prob_r)."""
-    import ray
-
-    model = nb_model(sf_dir, vocab=None)
-    model_ref = ray.put(model)
-    ds = sized_read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(
-        NbCorpusClassifier, fn_constructor_args=(model_ref,),
-        concurrency=(1, 4), batch_size=512, batch_format="pyarrow",
-    )
-    return pa.Table.from_pandas(out.to_pandas(), preserve_index=False) \
+    t = _to_table(_nb_classified(sf_dir, ["doc_id", "text"]))
+    return t.rename_columns(["doc_id", "lang", "prob_r"]) \
         .sort_by([("doc_id", "ascending")])
 
 
@@ -558,40 +576,18 @@ def q_classify_confusion(sf_dir: str) -> pa.Table:
     apache/lucene/classification/utils/ConfusionMatrixGenerator.java:58):
     NB-classify every corpus doc and cross-tabulate actual vs predicted
     class: (actual, predicted, n). The matrix is a Ray groupby over the
-    per-batch (actual, predicted) pairs — the classifier stage carries
+    per-doc (actual, predicted) pairs — the classifier stage carries
     the actual label through, so no join is ever needed; only
     |classes|^2 rows reach the driver."""
-    import ray
     from ray.data.aggregate import Count
 
-    model = nb_model(sf_dir, vocab=None)
-    model_ref = ray.put(model)
-
-    class ConfusionStage(NbCorpusClassifier):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            pred = super().__call__(
-                batch.select(["doc_id", "text"])
-            )
-            return pa.table(
-                {
-                    "actual": batch["lang"],
-                    "predicted": pred["lang"],
-                }
-            )
-
-    ds = sized_read(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
     out = (
-        ds.map_batches(
-            ConfusionStage, fn_constructor_args=(model_ref,),
-            concurrency=(1, 4), batch_size=512, batch_format="pyarrow",
-        )
-        .groupby(["actual", "predicted"])
+        _nb_classified(sf_dir, ["doc_id", "text", "lang"])
+        .groupby(["lang", "predicted"])
         .aggregate(Count(alias_name="n"))
     )
-    t = pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-    return t.select(["actual", "predicted", "n"]).cast(
+    t = _to_table(out).select(["lang", "predicted", "n"])
+    return t.rename_columns(["actual", "predicted", "n"]).cast(
         pa.schema([("actual", pa.string()), ("predicted", pa.string()),
                    ("n", pa.int64())])
     ).sort_by([("actual", "ascending"), ("predicted", "ascending")])
@@ -638,8 +634,7 @@ def q_dataset_split(sf_dir: str) -> pa.Table:
         .groupby(["lang", "split"])
         .aggregate(Count(alias_name="n"))
     )
-    t = pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-    return t.select(["lang", "split", "n"]).cast(
+    return _to_table(out).select(["lang", "split", "n"]).cast(
         pa.schema([("lang", pa.string()), ("split", pa.string()),
                    ("n", pa.int64())])
     ).sort_by([("lang", "ascending"), ("split", "ascending")])

@@ -4,8 +4,13 @@ embedding-cosine — the training-data-pipeline dedup suite.
 Scale notes (designed for 10^12 docs, tested at sf*). Every operator is a
 Ray Data pipeline end to end — no driver-side materialization of the
 shingle relation or candidate machinery (round-1 weakness, fixed):
-- exact: hash-partitioned groupby on the content hash — the only shuffle
-  moves (hash, doc_id) pairs, never text.
+- exact: one keyed pass (common.keyed_reduce) by the content hash, with
+  min(doc_id) and count per hash folded by pa group_by inside each bucket
+  — the only shuffle moves (hash, doc_id) pairs, never text.
+- line (C4/RefinedWeb sub-document dedup): lines explode in map_batches;
+  a keyed pass by line fingerprint finds first occurrences and folds them
+  into per-doc partials in-bucket, and a keyed pass by doc_id combines
+  them — two shuffles, no union, no second explode.
 - jaccard (exact, oracle-checked): map_batches(shingle+bucket) ->
   groupby(bucket).map_groups(vectorized pair partials with in-group
   combiner) -> groupby(a, b).sum -> map_batches finalize against broadcast
@@ -39,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import md5_hex, md5_lower64_array
-from .common import HEAVY_ROWS_PER_BLOCK, sized_read
+from .common import HEAVY_ROWS_PER_BLOCK, keyed_reduce, sized_read
 from ..functions.rounding import round_half_away, round_half_away_np
 
 # 3-word shingles: the standard near-dup width. 2-word shingles are
@@ -71,24 +76,28 @@ def _to_table(ds) -> pa.Table:
 # --- exact dedup ------------------------------------------------------------
 
 
+def _add_text_md5(batch: pa.Table) -> pa.Table:
+    """(doc_id, text...) -> the same rows plus their content hash."""
+    fps = [md5_hex(t) for t in batch["text"].to_pylist()]
+    return batch.append_column("text_md5", pa.array(fps, pa.string()))
+
+
+def _text_md5_bucket(batch: pa.Table) -> np.ndarray:
+    return md5_lower64_array(batch["text_md5"].to_pylist())
+
+
 def q_exact_dedup(sf_dir: str) -> pa.Table:
     """Exact duplicate groups by content hash: (text_md5, keep_doc_id,
     n_copies). updateDocument/delete-by-term analogue: keep = min doc_id."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Min
 
-    def add_hash(batch: pa.Table) -> pa.Table:
-        fps = [md5_hex(t) for t in batch["text"].to_pylist()]
-        return pa.table({"text_md5": pa.array(fps, pa.string()), "doc_id": batch["doc_id"]})
+    def groups(t: pa.Table) -> pa.Table:
+        g = t.group_by("text_md5").aggregate([("doc_id", "min"), ("doc_id", "count")])
+        return pa.table({"text_md5": g["text_md5"], "keep_doc_id": g["doc_id_min"],
+                         "n_copies": g["doc_id_count"]})
 
-    ds = (
-        sized_read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        .map_batches(add_hash, batch_format="pyarrow")
-        .groupby("text_md5")
-        .aggregate(Min("doc_id", alias_name="keep_doc_id"), Count(alias_name="n_copies"))
-    )
-    t = _to_table(ds)
-    return t.select(["text_md5", "keep_doc_id", "n_copies"]).cast(
+    ds = sized_read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]).map_batches(
+        lambda b: _add_text_md5(b).drop_columns(["text"]), batch_format="pyarrow")
+    return _to_table(keyed_reduce(ds, _text_md5_bucket, groups)).cast(
         pa.schema(
             [("text_md5", pa.string()), ("keep_doc_id", pa.int64()), ("n_copies", pa.int64())]
         )
@@ -1178,9 +1187,7 @@ def _line_rows(batch: pa.Table, w: int = LINE_DEDUP_W) -> pa.Table:
         line_h = np.add.reduceat(contrib, offs)
     line_len = np.diff(np.r_[offs, len(flat)]).astype(np.uint64)
     line_h = line_h ^ (line_len * _LINE_LEN_C)
-    # int63: Ray's aggregate key path round-trips keys through Python ints
-    # and a C long — uint64 values >= 2^63 overflow it
-    line_h = (line_h & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
+    line_h = line_h.view(np.int64)  # only equality matters downstream
     line_doc = parents[offs]
     key = doc_ids[line_doc] * LINE_DEDUP_MAXL + (pos_in_doc[offs] // w)
     n_lines_doc = -(-counts // w)
@@ -1193,6 +1200,27 @@ def _line_rows(batch: pa.Table, w: int = LINE_DEDUP_W) -> pa.Table:
     )
 
 
+def _line_doc_partials(t: pa.Table) -> pa.Table:
+    """One line_h bucket -> per-doc partials (doc_id, n_lines, n_kept):
+    a line row is kept when its key is its line's min key (first corpus
+    occurrence); every row carries its doc's total, so the max over a
+    doc's partials is that total."""
+    first = t.group_by("line_h").aggregate([("key", "min")])["key_min"]
+    return _doc_totals(pa.table({
+        "doc_id": pa.array(t["key"].to_numpy() // LINE_DEDUP_MAXL),
+        "n_lines": t["n_lines"],
+        "n_kept": pc.cast(pc.is_in(t["key"], value_set=first), pa.int64()),
+    }))
+
+
+def _doc_totals(t: pa.Table) -> pa.Table:
+    """Per-doc (doc_id, n_lines, n_kept) rows -> one row per doc: the max
+    of n_lines, the sum of n_kept."""
+    g = t.group_by("doc_id").aggregate([("n_lines", "max"), ("n_kept", "sum")])
+    return pa.table({"doc_id": g["doc_id"], "n_lines": g["n_lines_max"],
+                     "n_kept": g["n_kept_sum"]})
+
+
 def q_line_dedup(sf_dir: str) -> pa.Table:
     """Sub-document exact dedup (the C4/RefinedWeb line-dedup shape over
     the synthetic token stream): each doc splits into consecutive
@@ -1201,57 +1229,18 @@ def q_line_dedup(sf_dir: str) -> pa.Table:
     (doc_id, n_lines, n_kept).
 
     Scale shape: lines explode inside map_batches (never the whole corpus
-    at the driver); per-doc totals are batch-local (a doc's lines share a
-    batch), so the only shuffles are ONE groupby(line) min for first
-    occurrences and ONE groupby(doc_id) sum to combine — the min key
-    encodes its owner doc, so kept counts need no join back."""
-    from ray.data.aggregate import Min, Sum
-
-    # two consumers (totals + first-occurrence groupby) re-run the cheap
-    # vectorized explode rather than materializing the corpus-sized line
-    # relation mid-pipeline (measured: the barrier costs more than the
-    # recompute at every tested scale)
+    at the driver) and go through two keyed passes. Pass 1, keyed by
+    line_h, finds each line's first occurrence and folds its bucket into
+    per-doc partials (doc_id, n_lines, n_kept) in the same call; a doc's
+    total rides on each of its line rows, so no second explode and no
+    union is needed. Pass 2, keyed by doc_id, combines a doc's partials
+    from every line bucket."""
     lines = sized_read(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(_line_rows, batch_format="pyarrow")
-
-    def tot_rows(batch: pa.Table) -> pa.Table:
-        # one row per DOC from this batch's lines: line_idx 0 carries the
-        # doc's total (every doc with any line has a line 0)
-        k = batch["key"].to_numpy()
-        first = k % LINE_DEDUP_MAXL == 0
-        return pa.table(
-            {
-                "doc_id": pa.array(k[first] // LINE_DEDUP_MAXL, pa.int64()),
-                "n_lines": batch["n_lines"].filter(pa.array(first)),
-                "n_kept": pa.array(np.zeros(int(first.sum()), np.int64)),
-            }
-        )
-
-    def kept_rows(batch: pa.Table) -> pa.Table:
-        d = batch["first_key"].to_numpy() // LINE_DEDUP_MAXL
-        return pa.table(
-            {
-                "doc_id": pa.array(d, pa.int64()),
-                "n_lines": pa.array(np.zeros(len(d), np.int64)),
-                "n_kept": pa.array(np.ones(len(d), np.int64)),
-            }
-        )
-
-    firsts = (
-        lines.groupby("line_h")
-        .aggregate(Min("key", alias_name="first_key"))
-        .map_batches(kept_rows, batch_format="pyarrow")
-    )
-    totals = lines.map_batches(tot_rows, batch_format="pyarrow")
-    per_doc = (
-        totals.union(firsts)
-        .groupby("doc_id")
-        .aggregate(Sum("n_lines", alias_name="n_lines"),
-                   Sum("n_kept", alias_name="n_kept"))
-    )
-    t = _to_table(per_doc)
-    return t.select(["doc_id", "n_lines", "n_kept"]).cast(
+    partials = keyed_reduce(lines, lambda b: b["line_h"].to_numpy(), _line_doc_partials)
+    per_doc = keyed_reduce(partials, lambda b: b["doc_id"].to_numpy(), _doc_totals)
+    return _to_table(per_doc).cast(
         pa.schema([("doc_id", pa.int64()), ("n_lines", pa.int64()),
                    ("n_kept", pa.int64())])
     )

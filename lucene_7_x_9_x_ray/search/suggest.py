@@ -735,17 +735,19 @@ class ContextCompletionSuggester:
             return []
         import numpy as np
 
-        r = self.searcher.readers[0]  # merged tier: one global reader
-        ctx = np.asarray(
-            r.doc_values(self.context_col), dtype=object
-        ) == context
         weights = np.zeros(len(terms), dtype=np.int64)
-        for i, t in enumerate(terms):
-            tp = r.term_postings(str(t))
-            if tp is None:
-                continue
-            docs, freqs = tp.decode()
-            weights[i] = int(freqs[ctx[docs]].sum())
+        # every reader (one per segment, or the merged tier's one global
+        # reader), each masked by its own doc-values column
+        for r in self.searcher.readers:
+            ctx = np.asarray(
+                r.doc_values(self.context_col), dtype=object
+            ) == context
+            for i, t in enumerate(terms):
+                tp = r.term_postings(str(t))
+                if tp is None:
+                    continue
+                docs, freqs = tp.decode()
+                weights[i] += int(freqs[ctx[docs]].sum())
         keep = weights > 0
         terms, weights = terms[keep], weights[keep]
         order = np.lexsort((terms, -weights))[:n]

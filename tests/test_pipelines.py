@@ -1563,3 +1563,94 @@ def test_multimodal_resize_and_frame_sample_shapes(tmp_path, ray_session):
                for r in doc7)
     # the tiny payload yields exactly one frame
     assert [r["frame_idx"] for r in rows if r["doc_id"] == 9] == [0]
+
+
+def _assert_same_rows(got: pa.Table, want: pa.Table) -> None:
+    """Order-free exact row-set equality of two tables."""
+    import pandas as pd
+
+    cols = sorted(want.column_names)
+    assert sorted(got.column_names) == cols
+    a, b = (t.to_pandas()[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
+            for t in (got, want))
+    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
+
+
+def test_curate_ops_use_no_ray_aggregate_union_or_to_pandas(ray_session, monkeypatch):
+    """exact dedup, line dedup, corpus clean and corpus NB classification
+    run on keyed map_groups passes and task map_batches only: Ray's
+    per-row keyed aggregate, Dataset.union and Dataset.to_pandas are
+    forbidden while they run, and each output equals its DuckDB oracle."""
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from lucene_7_x_9_x_ray.pipelines import classify, corpus, dedup
+    from lucene_7_x_9_x_ray.pipelines import oracles as O
+
+    def _forbidden(*a, **k):
+        raise AssertionError("Ray aggregate/union/to_pandas on the curate path")
+
+    monkeypatch.setattr(GroupedData, "aggregate", _forbidden)
+    monkeypatch.setattr(rd.Dataset, "union", _forbidden)
+    monkeypatch.setattr(rd.Dataset, "to_pandas", _forbidden)
+    got = {
+        "exact_dedup": dedup.q_exact_dedup(SF),
+        "line_dedup": dedup.q_line_dedup(SF),
+        "corpus_clean": corpus.q_corpus_clean(SF),
+        "classify_nb": classify.q_classify_nb_corpus(SF),
+    }
+    monkeypatch.undo()
+    sql = {
+        "exact_dedup": dedup.oracle_exact_dedup_sql(),
+        "line_dedup": dedup.oracle_line_dedup_sql(),
+        "corpus_clean": corpus.oracle_corpus_clean_sql(),
+        "classify_nb": O.classify_nb_corpus_sql(),
+    }
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
+    for op, q in sql.items():
+        want = con.execute(q).fetch_arrow_table()
+        assert got[op].num_rows > 0, op
+        _assert_same_rows(got[op], want)
+
+
+@pytest.mark.parametrize("key_type", ["int", "str"])
+@pytest.mark.parametrize("shape", ["distinct", "hot_half", "empty_batches"])
+def test_keyed_reduce_matches_one_group_by(ray_session, key_type, shape):
+    """keyed_reduce == one pa.Table.group_by over the whole input: every
+    key reaches exactly one fn call (a key split across buckets would
+    show up as a duplicate output row), a key holding half the rows
+    lands whole in one bucket, and empty batches change nothing."""
+    import ray.data as rd
+
+    from lucene_7_x_9_x_ray.functions.hashing import md5_lower64_array
+    from lucene_7_x_9_x_ray.pipelines.common import keyed_reduce
+
+    def fold(t: pa.Table) -> pa.Table:  # nested: workers unpickle it by value
+        g = t.group_by("k").aggregate([("v", "sum"), ("v", "count"), ("v", "min")])
+        return g.select(["k", "v_sum", "v_count", "v_min"])
+
+    rng = np.random.default_rng(7)
+    n = 4000
+    if shape == "distinct":
+        keys = rng.permutation(n)
+    elif shape == "hot_half":
+        keys = np.where(rng.random(n) < 0.5, 12345, rng.integers(0, 300, n))
+    else:
+        keys = rng.integers(0, 500, n)
+    keys = keys.astype(np.int64) - 100  # negative int keys too
+    col = pa.array(keys) if key_type == "int" else pa.array([f"k{k}" for k in keys])
+    whole = pa.table({"k": col, "v": pa.array(rng.integers(0, 1000, n))})
+    blocks = [whole.slice(i, n // 5) for i in range(0, n, n // 5)]
+    if shape == "empty_batches":
+        blocks = [whole.slice(0, 0)] + [b for blk in blocks for b in (blk, whole.slice(0, 0))]
+    ds = rd.from_arrow(blocks)
+    if key_type == "int":
+        bucket_of = lambda b: b["k"].to_numpy()  # noqa: E731
+    else:
+        bucket_of = lambda b: md5_lower64_array(b["k"].to_pylist())  # noqa: E731
+
+    out = keyed_reduce(ds, bucket_of, fold)
+    got = pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
+    want = fold(whole)
+    _assert_same_rows(got, want)

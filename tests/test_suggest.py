@@ -322,3 +322,33 @@ def test_blended_infix_suggester_position_blending():
 
     with pytest.raises(ValueError):
         BlendedInfixSuggester(blender="nope")
+
+
+def test_context_completion_spans_every_segment(ray_session, tmp_path):
+    """Context-weighted completions over a 2-segment index equal those of
+    a 1-segment index of the same docs: each segment's postings are
+    masked by that segment's own context doc-values column."""
+    from lucene_7_x_9_x_ray.search.searcher import IndexSearcher
+    from lucene_7_x_9_x_ray.search.suggest import ContextCompletionSuggester
+    from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
+    from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
+
+    pages = generate_pages(200, vocab_size=200, mean_tokens=30)
+    path = str(tmp_path / "pages.parquet")
+    write_pages_parquet(pages, path, rows_per_row_group=100)
+    sugs = []
+    for n_seg, per_seg in [(1, 200), (2, 100)]:
+        idx = str(tmp_path / f"idx{n_seg}")
+        build_index([path], idx, BuildConfig(target_docs_per_segment=per_seg))
+        searcher = IndexSearcher(idx)
+        assert len(searcher.readers) == n_seg
+        sugs.append(ContextCompletionSuggester(searcher, context_col="lang"))
+    one, two = sugs
+    seen = 0
+    for prefix in ("t0000", "t001", "t01", "t1"):
+        for ctx in ("en", "de", "zh"):
+            want = [(s.term, s.score, s.freq) for s in one.lookup(prefix, ctx, 8)]
+            got = [(s.term, s.score, s.freq) for s in two.lookup(prefix, ctx, 8)]
+            assert got == want, (prefix, ctx)
+            seen += len(want)
+    assert seen > 0
