@@ -36,12 +36,14 @@ __all__ = ["sized_read", "keyed_reduce", "HEAVY_ROWS_PER_BLOCK",
            "LIGHT_ROWS_PER_BLOCK"]
 
 # heavy per-row kernels (shingling, minhash, per-doc matmul): small blocks
-# so a handful of rows still spreads across the cluster. Round-4
-# re-measure after the shingle kernel vectorization (per-row Python set
-# -> object-concat n-grams + lexsort dedup, ~10x less work per row):
-# at sf0.1/32 cpus op_minhash_lsh is 1.4 s at 256 rows/block vs 2.1 s at
-# the old 64 (and 5.1 s at 1024 — candidate-stage starvation returns),
-# so the sweet spot moved up 4x with the kernel cost.
+# so a handful of rows still spreads across the cluster. Round 4 chose 256
+# from op_minhash_lsh at sf0.1 on 32 CPUs: 1.4 s at 256 rows/block, 2.1 s
+# at 64, 5.1 s at 1024, where its shuffled candidate stage starved. Under
+# the driver-verify doc cap that stage no longer runs, and on 4 CPUs
+# q_minhash_lsh_pairs (median of 4) took 1.40 s at 256 against 1.02 s at
+# 1024 on sf0.1 (5,000 docs), 0.74 s against 0.75 s on 1,500 docs, and
+# 1.2-2.1 s at 64. 256 stays for the other kernels that share it, which
+# were not re-measured.
 HEAVY_ROWS_PER_BLOCK = 256
 # light columnar kernels (hash, partial aggregates): big blocks, the work
 # per row is nanoseconds and the task constant is the whole cost

@@ -3,7 +3,8 @@ embedding-cosine — the training-data-pipeline dedup suite.
 
 Scale notes (designed for 10^12 docs, tested at sf*). Every operator is a
 Ray Data pipeline end to end — no driver-side materialization of the
-shingle relation or candidate machinery (round-1 weakness, fixed):
+shingle relation, and candidate machinery on the driver only under a
+capped corpus size and pair bound (MinHash, below):
 - exact: one keyed pass (common.keyed_reduce) by the content hash, with
   min(doc_id) and count per hash folded by pa group_by inside each bucket
   — the only shuffle moves (hash, doc_id) pairs, never text.
@@ -17,14 +18,20 @@ shingle relation or candidate machinery (round-1 weakness, fixed):
   per-doc sizes. Quadratic in duplicate density by nature; the LSH variant
   is the scale path.
 - minhash_lsh (THE 100-TB dedup path): signatures (128 universal-hash
-  mins) + 16 band keys computed per doc inside map_batches — shingles
-  never shuffle; candidates via groupby(bucket of (band, key)) with
-  in-group vectorized pair expansion; global pair dedup via groupby(a, b);
-  exact-Jaccard verify via a hash-partitioned semi-join of pair-need rows
-  against the document stream (shingle sets attached in the doc-keyed
-  group, Jaccard computed in the pair-keyed group) — ONE lazy Dataset end
-  to end, no take_all/broadcast dict anywhere (see
-  minhash_lsh_pairs_dataset). Probabilistic recall -> rows-only.
+  mins, Mersenne-folded) + 16 band keys computed per doc inside
+  map_batches — shingles never shuffle; each band row is (run_key,
+  doc_id) with the band folded into the key. Corpora over the driver doc
+  cap: candidates via a keyed pass by run_key with in-bucket vectorized
+  pair expansion; global pair dedup via groupby(pair hash); exact-Jaccard
+  verify via a hash-partitioned semi-join of pair-need rows against the
+  document stream (shingle sets attached in the doc-keyed group, Jaccard
+  computed in the pair-keyed group) — ONE lazy Dataset end to end, no
+  take_all/broadcast dict anywhere (see minhash_lsh_pairs_dataset).
+  Corpora under the cap bring only the band rows to the driver (one pass,
+  no shuffle), bound the candidate count from the run lengths, and expand
+  and verify there, or hand the rows to the distributed stages when the
+  bound overflows (see q_minhash_lsh_pairs). Probabilistic recall ->
+  rows-only.
 - simhash (exact, oracle-checked): fingerprint + 4-band pigeonhole rows in
   map_batches (any pair within Hamming 3 agrees on >= 1 of 4 disjoint
   16-bit bands); candidates AND the Hamming check evaluate inside the
@@ -348,14 +355,33 @@ def _minhash_params(seed: int = 42):
     return a, b
 
 
+def _mod_mersenne(y: np.ndarray) -> np.ndarray:
+    """``y % (2^61 - 1)`` for uint64 ``y``; ``y`` is overwritten as scratch.
+
+    2^61 = 1 (mod M), so ``y = hi * 2^61 + lo`` folds to ``lo + hi`` in
+    [0, M + 7]; one conditional subtract finishes it. For ``r < M`` the
+    subtraction wraps above ``r``, so ``minimum`` keeps ``r``. Two masks,
+    a shift, an add and a min instead of a 64-bit integer division."""
+    m = np.uint64(_MERSENNE)
+    r = y & m
+    y >>= np.uint64(61)
+    r += y
+    np.subtract(r, m, out=y)
+    np.minimum(r, y, out=r)
+    return r
+
+
 def minhash_signatures(sh_table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(doc_ids, signatures[n_docs, MINHASH_PERMS]) from (doc, shingle).
 
-    The per-doc column minima use ``np.minimum.reduceat`` over contiguous
-    doc runs — ``np.minimum.at`` is a scalar inner loop and was ~50% of
-    the whole MinHash pipeline's wall time at sf0.1. Hash-value chunks are
-    cut at DOC boundaries (~2^16 shingle rows each) so every reduceat
-    segment is complete and memory stays bounded."""
+    h_i(x) = (a_i * x + b_i) mod 2^61-1, where the product and the sum
+    wrap at 2^64 before the modulus (numpy uint64), folded by
+    ``_mod_mersenne``. The per-doc column minima use
+    ``np.minimum.reduceat`` over contiguous doc runs (``np.minimum.at`` is
+    a scalar inner loop). Chunks are cut at DOC boundaries, about 256
+    shingle rows each, so every reduceat segment is complete and the
+    (rows x 128) hash matrix stays cache-sized: chunks of 2^16 rows made
+    several 64 MB temporaries per worker and ran 3x slower."""
     docs = sh_table["doc_id"].to_numpy()
     sh = sh_table["shingle"].to_numpy().astype(np.uint64)
     if len(docs) > 1 and not np.all(docs[1:] >= docs[:-1]):
@@ -364,14 +390,14 @@ def minhash_signatures(sh_table: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     uniq_docs, starts = np.unique(docs, return_index=True)
     ends = np.append(starts[1:], len(docs))
     a, b = _minhash_params()
-    # h_i(x) = (a_i * x + b_i) mod 2^61-1
     parts: list[np.ndarray] = []
-    i, n_docs, block = 0, len(uniq_docs), 1 << 16
+    i, n_docs, block = 0, len(uniq_docs), 256
     while i < n_docs:
         j = max(int(np.searchsorted(starts, starts[i] + block, side="left")), i + 1)
         lo, hi = int(starts[i]), int(ends[j - 1])
-        x = sh[lo:hi]
-        hv = (x[:, None] * a[None, :] + b[None, :]) % np.uint64(_MERSENNE)
+        hv = np.multiply(sh[lo:hi, None], a[None, :])
+        hv += b
+        hv = _mod_mersenne(hv)
         parts.append(np.minimum.reduceat(hv, starts[i:j] - lo, axis=0))
         i = j
     if not parts:
@@ -394,60 +420,54 @@ def _mix_columns(mat: np.ndarray) -> np.ndarray:
 
 
 def _band_rows_batch(batch: pa.Table) -> pa.Table:
-    """map_batches stage: docs -> one (band, key, doc_id) LSH-bucket row per
-    band. Each doc's shingles live entirely in its own batch, so the
-    signature is exact; only these tiny rows enter the shuffle."""
+    """map_batches stage: docs -> one (run_key, doc_id) LSH-bucket row per
+    band, 16 bytes each. ``run_key`` folds the band into the band's key,
+    so two docs are candidates iff they share a run_key. Each doc's
+    shingles live entirely in its own batch, so the signature is exact;
+    only these tiny rows leave the task."""
     sh_tbl = shingle_batch(batch, JACCARD_SHINGLE_N)
     if sh_tbl.num_rows == 0:
         return pa.table(
-            {"band": pa.array([], pa.int32()), "key": pa.array([], pa.uint64()),
-             "bucket": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64())}
+            {"run_key": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}
         )
     doc_ids, sig = minhash_signatures(sh_tbl)
     rows = MINHASH_PERMS // MINHASH_BANDS
-    bands, keys, docs = [], [], []
-    for band in range(MINHASH_BANDS):
-        key = _mix_columns(sig[:, band * rows : (band + 1) * rows])
-        bands.append(np.full(len(doc_ids), band, dtype=np.int32))
-        keys.append(key)
-        docs.append(doc_ids)
-    bands = np.concatenate(bands)
-    keys = np.concatenate(keys)
-    docs = np.concatenate(docs)
-    bucket = ((keys ^ (np.uint64(0x9E3779B97F4A7C15) * bands.astype(np.uint64)))
-              % np.uint64(PAIR_BUCKETS)).astype(np.int64)
+    salt = _PAIR_MIX * np.arange(MINHASH_BANDS, dtype=np.uint64)  # wraps
+    keys = [
+        _mix_columns(sig[:, band * rows : (band + 1) * rows]) ^ salt[band]
+        for band in range(MINHASH_BANDS)
+    ]
     return pa.table(
         {
-            "band": pa.array(bands),
-            "key": pa.array(keys, pa.uint64()),
-            "bucket": pa.array(bucket),
-            "doc_id": pa.array(docs),
+            "run_key": pa.array(np.concatenate(keys), pa.uint64()),
+            "doc_id": pa.array(np.tile(doc_ids, MINHASH_BANDS), pa.int64()),
         }
     )
 
 
 def _emit_bucket_pairs(group: pa.Table) -> pa.Table:
-    """Candidate pairs of one bucket of LSH buckets: runs of equal
-    (band, key) after a lexsort expand to their doc pairs, vectorized."""
-    band = group["band"].to_numpy().astype(np.uint64)
-    key = group["key"].to_numpy()
+    """Candidate pairs of one bucket of LSH buckets: runs of equal run_key
+    after a lexsort expand to their doc pairs, vectorized."""
     docs = group["doc_id"].to_numpy()
-    run_key = key ^ (np.uint64(0x9E3779B97F4A7C15) * band)  # (band, key) fold
-    expanded = _expand_candidate_runs(run_key, docs)
+    expanded = _expand_candidate_runs(group["run_key"].to_numpy(), docs)
     if expanded is None:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    order, ai, bi = expanded
-    docs = docs[order]
-    a = docs[ai]
-    b = docs[bi]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # per-bucket pair dedup (combiner) before the pair-hash collapse
-    u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    lo, hi = u[:, 0].astype(np.int64), u[:, 1].astype(np.int64)
+        return pa.table({"pb": pa.array([], pa.int64()), "a": pa.array([], pa.int64()),
+                         "b": pa.array([], pa.int64())})
+    lo, hi = _unique_pairs(docs, *expanded)
     return pa.table(
         {"pb": pa.array(_pair_bucket(lo, hi)),
          "a": pa.array(lo), "b": pa.array(hi)}
     )
+
+
+def _unique_pairs(docs: np.ndarray, order: np.ndarray, ai: np.ndarray,
+                  bi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (lo, hi) doc pairs of an ``_expand_candidate_runs``
+    result, as two int64 arrays ordered by (lo, hi)."""
+    docs = docs[order]
+    a, b = docs[ai], docs[bi]
+    u = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), axis=0)
+    return u[:, 0].astype(np.int64), u[:, 1].astype(np.int64)
 
 
 def _dedup_candidate_pairs(group: pa.Table) -> pa.Table:
@@ -612,16 +632,15 @@ def _verify_pair_group(group: pa.Table) -> pa.Table:
     )
 
 
-def _candidate_pairs_dataset(docs, parts: int):
-    """Distributed candidate generation: band rows (map_batches) ->
-    pairs via groupby(bucket of (band, key)) -> global pair dedup via
-    groupby(pb = hash(pair)) with an in-group vectorized collapse.
-    Returns a Dataset of (a, b, n_bands)."""
+def _candidate_pairs_dataset(band_rows, parts: int):
+    """Distributed candidate generation from a Dataset of band rows: pairs
+    via one keyed pass by run_key (common.keyed_reduce) with in-bucket
+    vectorized expansion -> global pair dedup via groupby(pb = hash(pair))
+    with an in-group vectorized collapse. Returns a Dataset of
+    (a, b, n_bands)."""
+    pairs = keyed_reduce(band_rows, lambda t: t["run_key"].to_numpy(), _emit_bucket_pairs)
     return (
-        docs.map_batches(_band_rows_batch, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_emit_bucket_pairs, batch_format="pyarrow")
-        .repartition(max(4, parts // 4))
+        pairs.repartition(max(4, parts // 4))
         .groupby("pb")
         .map_groups(_dedup_candidate_pairs, batch_format="pyarrow")
     )
@@ -634,16 +653,19 @@ def _minhash_driver_verify_max_docs() -> int:
 
 
 def _minhash_driver_verify_max_pairs() -> int:
-    """Cap on MEASURED candidate pairs for the driver-verify fast path.
+    """Cap on the candidate-pair BOUND for the driver-verify fast path:
+    Σ L(L-1)/2 over the sorted run lengths L of the band rows' run keys.
 
-    The doc-count pre-filter alone is unsafe on skewed corpora: a 200k-doc
-    corpus that is 50% boilerplate emits O(dups^2) candidates within each
-    LSH bucket, and the driver path's memory is proportional to candidates
-    + needed texts, not corpus size. So the fast path is gated TWICE —
-    corpus docs (cheap, parquet metadata, decides whether candidates are
-    even materialized) AND the actual candidate count after global pair
-    dedup; overflow reroutes the already-computed candidate table into the
-    distributed semi-join verify (no recompute of banding/candidates)."""
+    The bound counts a pair once per band it collides in, so it is an
+    upper bound on the distinct candidates, and it is known from the run
+    lengths alone, before any pair is expanded. The doc-count pre-filter
+    alone is unsafe on skewed corpora: a 200k-doc corpus that is 50%
+    boilerplate puts O(dups^2) pairs in each hot LSH bucket. So the fast
+    path is gated TWICE: corpus docs (parquet metadata; decides whether
+    band rows come to the driver at all) AND this bound. Over the cap, the
+    band rows already on the driver go into the distributed candidate and
+    semi-join verify stages (no recompute of the banding), so the driver
+    never expands a quadratic hot run."""
     import os
 
     return int(os.environ.get("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_PAIRS", "100000"))
@@ -703,15 +725,15 @@ def minhash_lsh_pairs_dataset(sf_dir: str):
     executes it with Dataset.take_all forbidden).
 
     Plan: band rows (map_batches; shingles never shuffle) -> candidate
-    pairs via groupby(bucket of (band, key)) with in-group vectorized
-    expansion -> global pair dedup via groupby(a, b) -> exact verify via a
-    hash-partitioned SEMI-JOIN: pair-side 'need' rows union the document
-    stream, groupby(jbucket = hash(doc_id)) attaches each needed doc's
-    packed shingle set to its pair rows, and groupby(pbucket = hash(pair))
-    computes exact Jaccard inside the pair group. Work on the verify leg is
-    proportional to candidate volume; the only corpus-wide cost is one
-    hash-partitioned pass of the text column (the join's doc side) — no
-    broadcast set, no O(corpus) driver state.
+    pairs via a keyed pass by run_key (band folded into the band key) with
+    in-bucket vectorized expansion -> global pair dedup via groupby(pb =
+    hash(pair)) -> exact verify via a hash-partitioned SEMI-JOIN: pair-side
+    'need' rows union the document stream, groupby(jbucket = hash(doc_id))
+    attaches each needed doc's packed shingle set to its pair rows, and
+    groupby(pbucket = hash(pair)) computes exact Jaccard inside the pair
+    group. Work on the verify leg is proportional to candidate volume; the
+    only corpus-wide cost is one hash-partitioned pass of the text column
+    (the join's doc side) — no broadcast set, no O(corpus) driver state.
 
     Physical shuffle width: the candidate/verify streams are orders of
     magnitude smaller than the corpus, but a groupby inherits its input's
@@ -724,15 +746,17 @@ def minhash_lsh_pairs_dataset(sf_dir: str):
     parts = _dedup_shuffle_partitions()
     docs = sized_read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
                       rows_per_block=HEAVY_ROWS_PER_BLOCK)
-    cand = _candidate_pairs_dataset(docs, parts)
-    return _distributed_verify_dataset(docs, cand, parts)
+    band_rows = docs.map_batches(_band_rows_batch, batch_format="pyarrow")
+    return _distributed_verify_dataset(
+        docs, _candidate_pairs_dataset(band_rows, parts), parts)
 
 
 def _distributed_verify_dataset(docs, cand, parts: int):
     """Exact-Jaccard verify of a candidate-pair Dataset against the document
     stream via the hash-partitioned semi-join (see minhash_lsh_pairs_dataset
-    docstring). Factored out so an overflowing driver-path candidate table
-    can be rerouted here without recomputing banding/candidates."""
+    docstring). Shared with the small-corpus path, whose band rows go
+    through the distributed candidate stage and here when their pair bound
+    overflows."""
     need = cand.map_batches(_pair_need_rows, batch_format="pyarrow")
     doc_side = docs.map_batches(_doc_join_rows, batch_format="pyarrow")
     return (
@@ -749,40 +773,51 @@ def q_minhash_lsh_pairs(sf_dir: str) -> pa.Table:
     """MinHash+LSH near-dup pairs verified by exact Jaccard:
     (doc_a, doc_b, jaccard_r). Probabilistic recall — rows-only check.
 
-    Auto cutover (measured: each distributed verify stage costs ~2 s of
-    fixed task-scheduling latency at toy scale, BASELINE.md round 3):
-    corpora at or under LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_DOCS (default
-    250k rows, read from parquet metadata — no execution) materialize the
-    (small, post-dedup) candidate table; if the MEASURED candidate count
-    also sits under LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_PAIRS they verify
-    on the driver via a pruned duckdb text lookup, else the candidate table
-    is rerouted into the distributed semi-join verify (skew guard — a small
-    boilerplate-heavy corpus can emit quadratic candidates). Corpora over
-    the doc cap take the 100-TB scale path, fully distributed end to end
-    (minhash_lsh_pairs_dataset): only band-key rows, candidate pairs,
+    Corpora at or under LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_DOCS (default
+    250k rows, read from parquet metadata — no execution) run ONE pass,
+    read + map_batches(_band_rows_batch), and bring only the 16-byte
+    (run_key, doc_id) band rows to the driver (64 MB at the cap): no
+    groupby, repartition or union. Each distributed stage cost about 2 s
+    of fixed task-scheduling latency at toy scale (BASELINE.md round 3),
+    and the three shuffles the candidate stage ran found about 100 pairs
+    that landed on the driver anyway. On the driver, the pair bound
+    Σ L(L-1)/2 over the run lengths comes first: at or under
+    LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_PAIRS, one run expansion plus
+    np.unique gives the distinct candidates, verified on the driver via a
+    pruned duckdb text lookup; over it (skew guard: a small
+    boilerplate-heavy corpus can put quadratic pairs in one bucket), the
+    band rows go to the distributed candidate and semi-join verify stages
+    without recomputing the banding. Corpora over the doc cap take the
+    100-TB scale path, fully distributed end to end
+    (minhash_lsh_pairs_dataset): only band rows, candidate pairs,
     hash-partitioned text blocks and packed shingle blobs ever move between
     nodes. All paths produce identical pairs (pinned by
-    test_minhash_cutover_paths_agree and test_minhash_pair_overflow_reroute)."""
+    test_minhash_cutover_paths_agree, test_minhash_pair_overflow_reroute
+    and test_minhash_hot_run_reroutes_before_expansion)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    if n_docs <= _minhash_driver_verify_max_docs():
-        parts = _dedup_shuffle_partitions()
+    if n_docs > _minhash_driver_verify_max_docs():
+        t = _to_table(minhash_lsh_pairs_dataset(sf_dir))
+    else:
         docs = sized_read(f"{sf_dir}/documents.parquet",
                           columns=["doc_id", "text"],
                           rows_per_block=HEAVY_ROWS_PER_BLOCK)
-        cand = _to_table(_candidate_pairs_dataset(docs, parts))
-        if cand.num_rows == 0:
-            t = cand
-        elif cand.num_rows <= _minhash_driver_verify_max_pairs():
-            t = _driver_verify_pairs(sf_dir, cand)
-        else:
-            t = _to_table(
-                _distributed_verify_dataset(docs, rd.from_arrow(cand), parts)
-            )
-    else:
-        t = _to_table(minhash_lsh_pairs_dataset(sf_dir))
+        rows = _to_table(docs.map_batches(_band_rows_batch, batch_format="pyarrow"))
+        t = rows.slice(0, 0)
+        if rows.num_rows:
+            run_key = rows["run_key"].to_numpy()
+            _, lens = np.unique(run_key, return_counts=True)
+            bound = int((lens * (lens - 1) // 2).sum())
+            if bound > _minhash_driver_verify_max_pairs():
+                parts = _dedup_shuffle_partitions()
+                cand = _candidate_pairs_dataset(rd.from_arrow(rows), parts)
+                t = _to_table(_distributed_verify_dataset(docs, cand, parts))
+            elif bound:
+                doc_ids = rows["doc_id"].to_numpy()
+                lo, hi = _unique_pairs(doc_ids, *_expand_candidate_runs(run_key, doc_ids))
+                t = _driver_verify_pairs(sf_dir, pa.table({"a": lo, "b": hi}))
     if t.num_rows == 0:
         return pa.table(
             {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()),

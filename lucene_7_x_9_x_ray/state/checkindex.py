@@ -24,6 +24,7 @@ Checks per segment / merged shard:
 from __future__ import annotations
 
 import os
+import struct
 import sys
 
 
@@ -33,6 +34,14 @@ from .segment import SegmentReader
 
 class CheckIndexError(AssertionError):
     pass
+
+
+# What a segment's bad bytes raise: a violated invariant, a decode error
+# (short buffer, bad JSON/UTF-8/Arrow, index out of range) or a missing
+# file. Any other OSError (EIO, EMFILE, EINTR) is the host's, not the
+# segment's, and propagates: exorcise must not drop a healthy segment.
+_CORRUPTION = (CheckIndexError, FileNotFoundError, ValueError, IndexError,
+               KeyError, EOFError, struct.error)
 
 
 def _check(cond, msg):
@@ -203,7 +212,7 @@ def check_segment(index_dir: str, seg: dict, sample_every: int = 1) -> None:
     seg_dir = os.path.join(index_dir, "segments", seg["seg_name"])
     try:
         r = SegmentReader(seg_dir)
-    except Exception as e:  # unreadable artifacts = a failed segment
+    except _CORRUPTION as e:  # unreadable artifacts = a failed segment
         raise CheckIndexError(f"{seg['seg_name']}: unreadable ({e})") from e
     _check(r.doc_count == seg["doc_count"], f"{seg['seg_name']}: doc_count mismatch")
     _check(len(r.norms) == r.doc_count, f"{seg['seg_name']}: norms length")
@@ -223,7 +232,10 @@ def exorcise(index_dir: str, sample_every: int = 1) -> list[str]:
     reader owns its own [doc_base, doc_base+count) span), and the global
     statistics re-aggregate over the remaining segments. Publishes a new
     manifest generation; the stale merged tier is ignored by readers via
-    the segments fingerprint. Returns the dropped segment names."""
+    the segments fingerprint. Returns the dropped segment names.
+
+    Only corruption drops a segment (``_CORRUPTION``); a transient I/O
+    error propagates and no manifest is published."""
     from ..stages.build import _aggregate_field_stats
 
     manifest = IndexManifest.load(index_dir)
@@ -232,7 +244,7 @@ def exorcise(index_dir: str, sample_every: int = 1) -> list[str]:
     for seg in manifest.segments:
         try:
             check_segment(index_dir, seg, sample_every)
-        except Exception:  # any validation crash = a corrupt segment
+        except _CORRUPTION:
             dropped.append(seg["seg_name"])
             continue
         keep.append(seg)

@@ -229,7 +229,12 @@ class IndexManifest:
         return [os.path.join(self.index_dir, "segments", s["seg_name"]) for s in self.segments]
 
     def save(self) -> None:
-        atomic_write_json(os.path.join(self.index_dir, MANIFEST_NAME), asdict(self))
+        # index_dir is where the manifest was found, not part of the commit:
+        # load() sets it, so a moved index reopens and its size does not
+        # depend on its path
+        d = asdict(self)
+        del d["index_dir"]
+        atomic_write_json(os.path.join(self.index_dir, MANIFEST_NAME), d)
 
     @classmethod
     def load(cls, index_dir: str) -> "IndexManifest":

@@ -40,11 +40,12 @@ from .manifest import atomic_write_json, load_json
 @dataclass(frozen=True)
 class IndexRevision:
     """One published revision: pinned snapshot + its file set
-    (relpath -> size)."""
+    (relpath -> size). Hashes by (version, snap_id); the dict fields still
+    take part in equality."""
 
     version: int
     snap_id: str
-    manifest: dict
+    manifest: dict = field(hash=False)
     files: dict[str, int] = field(hash=False)
 
 

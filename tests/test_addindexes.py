@@ -114,3 +114,42 @@ def test_exorcise_drops_corrupt_segment(tmp_path):
     assert after == [d for d in before if not (lo <= d < hi)]
     # nothing to exorcise the second time
     assert exorcise(idx) == []
+
+
+def test_exorcise_propagates_transient_io_errors(tmp_path, monkeypatch):
+    """A transient I/O error (EIO) while checking a segment is not
+    corruption: exorcise raises it, drops nothing and publishes no
+    manifest. A missing segment file still is corruption."""
+    import errno
+    import glob
+    import os
+
+    from lucene_7_x_9_x_ray.state import checkindex
+    from lucene_7_x_9_x_ray.state.manifest import IndexManifest
+
+    texts = ["alpha one", "alpha two", "beta", "alpha three"]
+    t = pa.table({"url": [f"x-{i}" for i in range(4)],
+                  "warc_ts": pa.array(range(4), pa.timestamp("us")),
+                  "text": texts, "lang": ["en"] * 4})
+    path = str(tmp_path / "x.parquet")
+    pq.write_table(t, path, row_group_size=2)  # 2 row groups -> 2 segments
+    idx = str(tmp_path / "idx_x")
+    build_index_local([path], idx, BuildConfig(target_docs_per_segment=2))
+    before = IndexManifest.load(idx)
+    assert len(before.segments) == 2
+
+    def eio(*a, **k):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(checkindex, "check_segment", eio)
+    with pytest.raises(OSError) as err:
+        checkindex.exorcise(idx)
+    assert err.value.errno == errno.EIO
+    after = IndexManifest.load(idx)
+    assert (after.version, after.segments) == (before.version, before.segments)
+
+    monkeypatch.undo()
+    victim = before.segments[1]["seg_name"]
+    os.remove(glob.glob(os.path.join(idx, "segments", victim, "postings*"))[0])
+    assert checkindex.exorcise(idx) == [victim]
+    assert IndexManifest.load(idx).version == before.version + 1

@@ -203,3 +203,41 @@ def test_append_after_compaction_reclaim_and_add_indexes(ray_session, tmp_path):
     sa, sb = IndexSearcher(idx), IndexSearcher(fresh)
     assert sa.doc_count == sb.doc_count and sa.sum_total_term_freq == sb.sum_total_term_freq
     _assert_same_results(sa, sb)
+
+
+def test_moved_index_reopens_with_identical_results(ray_session, tmp_path):
+    """manifest.json records no path: an index (appended to, with deletes
+    and a merged tier) moved with shutil.move reopens from its new place
+    and returns rank-identical, float-exact top-k, per segment and merged."""
+    import json
+    import shutil
+
+    from lucene_7_x_9_x_ray.state.livedocs import delete_docs
+
+    def top_k(searcher):
+        out = []
+        for q in PROBES:
+            td = searcher.search(q, k=30, total_hits_threshold=1 << 30)
+            out.append((list(td.doc_ids), td.scores.tobytes()))
+        return out
+
+    p1, p2 = _two_files(tmp_path)
+    cfg = BuildConfig(target_docs_per_segment=75)
+    idx = str(tmp_path / "idx")
+    build_index([p1], idx, cfg)
+    append_index([p2], idx, cfg)
+    delete_docs(idx, np.arange(0, 500, 7))
+    merge_index(idx, MergeConfig(n_shards=2, hot_df_threshold=10**9))
+    with open(f"{idx}/manifest.json") as f:
+        assert "index_dir" not in json.load(f)
+    merged = open_searcher(idx)
+    assert isinstance(merged, MergedIndexSearcher)
+    want = (top_k(IndexSearcher(idx)), top_k(merged))
+    assert any(docs for docs, _ in want[0])
+
+    moved = str(tmp_path / "elsewhere" / "moved_idx")
+    shutil.move(idx, moved)
+    merged = open_searcher(moved)
+    assert isinstance(merged, MergedIndexSearcher)
+    assert (top_k(IndexSearcher(moved)), top_k(merged)) == want
+    check_index(moved)

@@ -15,6 +15,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucene_7_x_9_x_ray.functions.analysis import get_analyzer
 from lucene_7_x_9_x_ray.functions.bm25 import BM25
@@ -337,6 +339,112 @@ def test_minhash_lsh_distributed_verify(ray_session, tmp_path, monkeypatch):
     for batch in ds.iter_batches(batch_format="pyarrow"):
         got.update(zip(batch["doc_a"].to_pylist(), batch["doc_b"].to_pylist()))
     assert want <= got  # every planted near-dup pair verified
+
+
+def test_minhash_small_corpus_path_runs_no_shuffle(ray_session, planted_dir, monkeypatch):
+    """Corpora under the doc cap take one read + map_batches pass and
+    bring only the band rows to the driver: groupby, repartition and union
+    are forbidden while it runs, and its output equals the distributed
+    path's."""
+    import ray.data as rd
+
+    from lucene_7_x_9_x_ray.pipelines import dedup
+
+    def _forbidden(*a, **k):
+        raise AssertionError("shuffle on the small-corpus MinHash path")
+
+    monkeypatch.setenv("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_DOCS", "1000000")
+    for name in ("groupby", "repartition", "union"):
+        monkeypatch.setattr(rd.Dataset, name, _forbidden)
+    fast = dedup.q_minhash_lsh_pairs(planted_dir)
+    monkeypatch.undo()
+    monkeypatch.setenv("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_DOCS", "0")
+    dist = dedup.q_minhash_lsh_pairs(planted_dir)
+    assert fast.num_rows > 0
+    assert fast.equals(dist)
+
+
+def test_minhash_hot_run_reroutes_before_expansion(ray_session, tmp_path, monkeypatch):
+    """Skew guard on the pair bound: one hot LSH run (20 copies of one
+    text, 190 pairs in each band) sits above a pair cap of 100, so the
+    band rows go to the distributed stages; the driver neither expands a
+    run nor verifies a pair, and the pairs equal the driver path's."""
+    from lucene_7_x_9_x_ray.pipelines import dedup
+
+    rng = np.random.default_rng(3)
+    vocab = [f"w{i:03d}" for i in range(300)]
+    hot = " ".join(rng.choice(vocab, size=40))
+    texts = [hot] * 20
+    for _ in range(4):
+        words = list(rng.choice(vocab, size=40))
+        texts.append(" ".join(words))
+        words[0] = "zz" + words[0]
+        texts.append(" ".join(words))
+    texts += [" ".join(rng.choice(vocab, size=40)) for _ in range(16)]
+    d = tmp_path / "hot"
+    d.mkdir()
+    pq.write_table(pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                             "text": pa.array(texts, pa.string())}),
+                   str(d / "documents.parquet"))
+
+    monkeypatch.setenv("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_DOCS", "1000000")
+    monkeypatch.setenv("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_PAIRS", "1000000")
+    driver = dedup.q_minhash_lsh_pairs(str(d))
+    assert driver.num_rows >= 190
+
+    def _forbidden(*a, **k):
+        raise AssertionError("driver-side pair expansion or verify over the pair cap")
+
+    monkeypatch.setenv("LUCENE_RAY_MINHASH_DRIVER_VERIFY_MAX_PAIRS", "100")
+    monkeypatch.setattr(dedup, "_expand_candidate_runs", _forbidden)
+    monkeypatch.setattr(dedup, "_driver_verify_pairs", _forbidden)
+    rerouted = dedup.q_minhash_lsh_pairs(str(d))
+    assert rerouted.equals(driver)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_M61 = (1 << 61) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_U64, max_size=40), st.lists(_U64, min_size=1, max_size=6),
+       st.lists(_U64, min_size=1, max_size=6),
+       st.lists(st.integers(_M61, _M61 + 7), max_size=8))
+def test_mersenne_fold_matches_modulo(xs, a_vals, b_vals, near_m):
+    """The folded (a*x + b) mod 2^61-1 equals numpy's % bit for bit, with
+    the product and the sum wrapping at 2^64: x = 0 and 2^64-1, the
+    shipped MinHash parameters, and y in [M, M+7]."""
+    from lucene_7_x_9_x_ray.pipelines.dedup import _minhash_params, _mod_mersenne
+
+    m = np.uint64(_M61)
+    pa_, pb_ = _minhash_params()
+    x = np.array(xs + [0, 2**64 - 1, _M61, _M61 + 1], dtype=np.uint64)
+    a = np.concatenate([np.array(a_vals, dtype=np.uint64), pa_[:8]])
+    b = np.resize(np.concatenate([np.array(b_vals, dtype=np.uint64), pb_[:8]]), len(a))
+    y = x[:, None] * a[None, :] + b[None, :]
+    assert np.array_equal(_mod_mersenne(y.copy()), y % m)
+    y2 = np.array(near_m + [_M61, _M61 + 7, 0, 2**64 - 1], dtype=np.uint64)
+    assert np.array_equal(_mod_mersenne(y2.copy()), y2 % m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 700), min_size=1, max_size=6), st.integers(0, 2**32))
+def test_minhash_signatures_match_modulo_reference(sizes, seed):
+    """minhash_signatures (chunked at doc boundaries, folded modulus)
+    equals the per-doc min of the plain % formula, for docs smaller and
+    larger than one chunk and rows in any doc order."""
+    from lucene_7_x_9_x_ray.pipelines.dedup import _minhash_params, minhash_signatures
+
+    rng = np.random.default_rng(seed)
+    docs = np.repeat(np.arange(len(sizes), dtype=np.int64) * 7, sizes)
+    sh = rng.integers(0, 2**64, size=len(docs), dtype=np.uint64)
+    perm = rng.permutation(len(docs))
+    got_docs, got = minhash_signatures(pa.table({"doc_id": docs[perm], "shingle": sh[perm]}))
+    a, b = _minhash_params()
+    want = np.stack([((sh[docs == d][:, None] * a + b) % np.uint64(_M61)).min(axis=0)
+                     for d in np.unique(docs)])
+    assert np.array_equal(got_docs, np.unique(docs))
+    assert np.array_equal(got, want)
 
 
 def test_simhash_banding_is_exact(ray_session, planted_dir):

@@ -12,7 +12,11 @@ from lucene_7_x_9_x_ray.stages.build import (
     build_index_local,
 )
 from lucene_7_x_9_x_ray.state.commits import list_snapshots
-from lucene_7_x_9_x_ray.state.replicator import LocalReplicator, ReplicationClient
+from lucene_7_x_9_x_ray.state.replicator import (
+    IndexRevision,
+    LocalReplicator,
+    ReplicationClient,
+)
 
 
 def _write(tmp_path, name, texts, base=0):
@@ -91,3 +95,20 @@ def test_session_defers_snapshot_release(tmp_path):
     rep.end_session(rev1)
     snaps = list_snapshots(primary)
     assert rev1.snap_id not in snaps and rev2.snap_id in snaps
+
+
+def test_revisions_hash_and_sit_in_a_set(tmp_path):
+    """A revision hashes by (version, snap_id) although its manifest and
+    file set are dicts, so published revisions can key a set or a dict."""
+    assert hash(IndexRevision(1, "s", {"a": 1}, {})) == hash(
+        IndexRevision(1, "s", {"a": 2}, {"f": 3}))
+    primary = str(tmp_path / "primary")
+    cfg = BuildConfig(target_docs_per_segment=4)
+    build_index_local([_write(tmp_path, "p1.parquet", ["alpha beta", "beta gamma"])],
+                      primary, cfg)
+    rep = LocalReplicator(primary)
+    rev1 = rep.publish()
+    append_index([_write(tmp_path, "p2.parquet", ["alpha delta"], base=2)], primary, cfg)
+    rev2 = rep.publish()
+    seen = {rev1, rev2, rev1}
+    assert len(seen) == 2 and rev1 in seen and rev2 in seen
