@@ -5,8 +5,10 @@
             --queries queries.jsonl --k 10 --sharded
 
 ``--queries`` is JSONL: {"query_id": ..., "terms": [...], "k": 10} per
-line (k optional). ``--sharded`` fans each query across doc-range segment
-shards (LeafSlice model); default serves from the merged index actor pool.
+line (k optional). ``--concurrency`` is the number of scoring actors. The
+default streams the queries through the merged-index actor pool
+(stages/serve.py ``serve``); ``--sharded`` fans each query out to a
+ServingPool of doc-range segment shards (LeafSlice model) instead.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ def main() -> int:
     ap.add_argument("--out", default="", help="optional parquet output path")
     args = ap.parse_args()
 
+    import pyarrow as pa
     import ray
 
     if not ray.is_initialized():
@@ -41,18 +44,21 @@ def main() -> int:
         for line in f:
             if line.strip():
                 row = json.loads(line)
-                specs.append(
-                    (row["query_id"], list(row["terms"]), int(row.get("k", args.k)))
-                )
+                specs.append({"query_id": str(row["query_id"]), "terms": list(row["terms"]),
+                              "k": int(row.get("k", args.k))})
 
-    from lucene_7_x_9_x_ray.stages.serve import serve_queries, serve_queries_sharded
+    from lucene_7_x_9_x_ray.stages.serve import RESULT_SCHEMA, ServingPool, hit_rows, serve
 
     if args.sharded:
-        table = serve_queries_sharded(
-            args.index_dir, specs, concurrency=args.concurrency
-        )
+        pool = ServingPool(args.index_dir, n_shards=args.concurrency)
+        rows = [
+            hit for spec in specs
+            for hit in hit_rows(spec["query_id"], pool.search(spec["terms"], spec["k"]))
+        ]
+        pool.shutdown()
+        table = pa.Table.from_pylist(rows, schema=RESULT_SCHEMA)
     else:
-        table = serve_queries(args.index_dir, specs, concurrency=args.concurrency)
+        table = serve(args.index_dir, specs, concurrency=args.concurrency)
     if args.out:
         import pyarrow.parquet as pq
 

@@ -1068,20 +1068,9 @@ def q_parsed_topk_served(sf_dir: str) -> pa.Table:
     query STRING itself (parse_classic against the actor's analyzer) —
     results must equal the driver-side parsed path and the same SQL
     oracle exactly: (query_id, rank, doc_id, score_r)."""
-    from ..stages.serve import serve_parsed_queries
-
-    index_dir = build_flagship_index(sf_dir)
-    specs = [(qid, qstr, k) for qid, qstr, _kind, _cls, k in PARSED_TOPK_SPECS]
-    t = serve_parsed_queries(index_dir, specs, concurrency=2)
-    scores_r = [round_half_away(s, 4) for s in t["score"].to_pylist()]
-    return pa.table(
-        {
-            "query_id": t["query_id"],
-            "rank": t["rank"],
-            "doc_id": t["doc_id"],
-            "score_r": pa.array(scores_r, pa.float64()),
-        }
-    )
+    specs = [{"query_id": qid, "qstr": qstr, "k": k}
+             for qid, qstr, _kind, _cls, k in PARSED_TOPK_SPECS]
+    return _served_topk(sf_dir, specs)
 
 
 def q_similarity_topk(sf_dir: str) -> pa.Table:
@@ -1211,24 +1200,12 @@ def q_similarity_topk_served(sf_dir: str) -> pa.Table:
     per requested Similarity spec over its one mmapped index — results
     must equal the driver-side q_similarity_topk path and the same SQL
     oracle exactly: (query_id, rank, doc_id, score_r)."""
-    from ..stages.serve import serve_similarity_queries
-
-    index_dir = build_flagship_index(sf_dir)
-    ta, tb = SIMILARITY_TOPK_TERMS
     specs = [
-        (qid, [ta, tb], SIMILARITY_TOPK_K, sim)
+        {"query_id": qid, "terms": list(SIMILARITY_TOPK_TERMS), "k": SIMILARITY_TOPK_K,
+         "similarity": sim}
         for qid, sim in SIMILARITY_TOPK_SPECS
     ]
-    t = serve_similarity_queries(index_dir, specs, concurrency=2)
-    scores_r = [round_half_away(s, 4) for s in t["score"].to_pylist()]
-    return pa.table(
-        {
-            "query_id": t["query_id"],
-            "rank": t["rank"],
-            "doc_id": t["doc_id"],
-            "score_r": pa.array(scores_r, pa.float64()),
-        }
-    )
+    return _served_topk(sf_dir, specs)
 
 
 def q_bm25_topk_served(sf_dir: str) -> pa.Table:
@@ -1236,11 +1213,17 @@ def q_bm25_topk_served(sf_dir: str) -> pa.Table:
     (stages/serve.py): each actor memory-maps the merged index once and
     batches of queries stream through — results must equal the driver-side
     searcher path (and the SQL oracle) exactly."""
-    from ..stages.serve import serve_queries
+    specs = [{"query_id": qid, "terms": terms, "k": k}
+             for qid, terms, k, off in BM25_QUERY_SPECS if off == 0]
+    return _served_topk(sf_dir, specs)
 
-    index_dir = build_flagship_index(sf_dir)
-    specs = [(qid, terms, k) for qid, terms, k, off in BM25_QUERY_SPECS if off == 0]
-    t = serve_queries(index_dir, specs, concurrency=2)
+
+def _served_topk(sf_dir: str, specs: list[dict]) -> pa.Table:
+    """``specs`` scored by the actor-pool serving stage (stages/serve.py
+    serve) over the flagship index: (query_id, rank, doc_id, score_r)."""
+    from ..stages.serve import serve
+
+    t = serve(build_flagship_index(sf_dir), specs, concurrency=2)
     scores_r = [round_half_away(s, 4) for s in t["score"].to_pylist()]
     return pa.table(
         {
@@ -1410,7 +1393,7 @@ def _matched_rows_dataset(
     from ..search.scorers import CollectionStats, eval_query
     from ..state.segment import SegmentReader
 
-    from ..state.livedocs import load_tombstones
+    from ..state.livedocs import live_mask, load_tombstones
 
     index_dir = build_flagship_index(sf_dir)
     _, seg = get_searchers(sf_dir)
@@ -1438,10 +1421,7 @@ def _matched_rows_dataset(
             docs, scores = eval_query(r, query, st, bm25)
             if len(docs) and len(tombs):
                 # drop deleted docs (sorted-array membership on global ids)
-                gids_all = docs + row["doc_base"]
-                idx = np.searchsorted(tombs, gids_all)
-                idx = np.minimum(idx, len(tombs) - 1)
-                live = tombs[idx] != gids_all
+                live = live_mask(tombs, docs + row["doc_base"])
                 docs, scores = docs[live], scores[live]
             if len(docs) == 0:
                 continue

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..functions.bm25 import BM25
 from ..state.manifest import IndexManifest, load_json
 from ..state.segment import NORMS_FILE, TermPostings, TermTableReader
 from ..stages.merge import MERGED_MANIFEST, shard_of
@@ -462,7 +461,10 @@ class MergedReader(_ShardedTermLookup):
         return arr
 
 class MergedIndexSearcher(IndexSearcher):
-    """IndexSearcher API over the merged index.
+    """IndexSearcher API over the merged index: the same searcher, whose
+    reader list is the one virtual MergedReader (global docIDs). The
+    per-segment searcher opens only when a query needs it (extra fields an
+    older merge lacks, doc lookups), not at construction.
 
     mode="auto" runs the dense vectorized bulk scorer (fastest at these
     segment sizes — measured with perfbench/run.py); mode="wand" runs block-max WAND
@@ -470,21 +472,14 @@ class MergedIndexSearcher(IndexSearcher):
     doc-range fragment (see wand.py) — the pruning scale path, duel-tested
     rank-identical in tests/test_merge.py."""
 
-    def __init__(self, index_dir: str, bm25: BM25 | None = None):
-        from ..functions.analysis import get_analyzer
+    _seg_searcher: IndexSearcher | None = None
 
-        self.manifest = IndexManifest.load(index_dir)
-        self.index_dir = index_dir
-        self.bm25 = bm25 or BM25()
-        self.analyzer = get_analyzer(self.manifest.analyzer)
-        self._merged = MergedReader(index_dir)
-        self.readers = [self._merged]
-        self.doc_count = self.manifest.doc_count
-        self.sum_total_term_freq = self.manifest.sum_total_term_freq
-        self._seg_searcher = None
-        from ..state.livedocs import load_tombstones
+    def _open_readers(self, reuse: dict) -> list:
+        return [MergedReader(self.index_dir)]
 
-        self.tombstones = load_tombstones(index_dir)
+    @property
+    def _merged(self) -> MergedReader:
+        return self.readers[0]
 
     def _seg(self) -> IndexSearcher:
         if self._seg_searcher is None:

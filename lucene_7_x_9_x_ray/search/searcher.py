@@ -9,9 +9,13 @@ Mirrors the reference search lifecycle:
 4. reduce per-segment top-k by (score desc, global docID asc)
    (CollectorManager.reduce, TopScoreDocCollector tie-break).
 
-Mode "wand" runs block-max WAND when the query is a pure term disjunction
-(the Boolean2ScorerSupplier.java:192-205 dispatch: SHOULD-only + TOP_SCORES
--> WANDScorer); everything else runs the exhaustive vectorized scorer.
+Steps 3-4 are ``search_leaves``, the one leaf executor: the searcher, the
+ServingPool shard actors and the QueryScorer Dataset actors all score
+through it, so the scorer-dispatch rule and the live-docs filter exist
+once. Mode "wand" runs block-max WAND when the query is a pure term
+disjunction (the Boolean2ScorerSupplier.java:192-205 dispatch: SHOULD-only
++ TOP_SCORES -> WANDScorer); everything else runs the exhaustive
+vectorized scorer unless "auto" picks a pruning scorer.
 """
 
 from __future__ import annotations
@@ -22,15 +26,29 @@ import numpy as np
 
 from ..functions.analysis import get_analyzer
 from ..functions.bm25 import BM25
-from ..state.livedocs import load_tombstones
+from ..state.livedocs import live_mask, load_tombstones
 from ..state.manifest import IndexManifest
 from ..state.segment import SegmentReader
 from . import queries as Q
 from .scorers import CollectionStats, eval_query
 from .topk import DEFAULT_TOTAL_HITS_THRESHOLD, TopDocs, TopKCollector, merge_topk, topk_from_arrays
-from .wand import wand_topk
+from .wand import (
+    MAXSCORE_MIN_SAVED_DF,
+    _build_ms_clauses,
+    conjunction_topk,
+    maxscore_saved_fraction,
+    maxscore_topk,
+    probe_score_floor,
+    term_impact_topk,
+    wand_topk,
+)
 
-__all__ = ["IndexSearcher"]
+__all__ = ["IndexSearcher", "search_leaves"]
+
+# a single plain term at least this frequent takes impact-level block
+# skipping with a probed kth-score floor (2-4x over exhaustive at >=100k
+# df; below ~64k df the probe overhead dominates)
+IMPACT_MIN_DF = 1 << 16
 
 
 def _plain_term(q: Q.Query) -> bool:
@@ -79,6 +97,109 @@ def _as_term_conjunction(query: Q.Query) -> list[tuple[str, float]] | None:
     return None
 
 
+def _pruning_mode(mode: str, live, total_hits_threshold: int) -> str:
+    """The mode search_leaves dispatches on. Deletes are applied as a
+    post-match live filter and the pruning collectors have no filter hook,
+    so any deleted doc takes the exhaustive scorer. A caller raising
+    total_hits_threshold asks for accurate counts, which pruning scorers
+    cannot give (the TOP_SCORES vs COMPLETE ScoreMode split)."""
+    if live is not None or (mode == "auto" and total_hits_threshold > DEFAULT_TOTAL_HITS_THRESHOLD):
+        return "exhaustive"
+    return mode
+
+
+def _impact_term(query: Q.Query, stats: CollectionStats, mode: str) -> tuple[str, float] | None:
+    """(term, boost) when search_leaves scores ``query`` by impact-level
+    block skipping: a plain term with df >= IMPACT_MIN_DF under a pruning
+    mode (as returned by _pruning_mode)."""
+    if mode not in ("auto", "maxscore"):
+        return None
+    disj = _as_term_disjunction(query)
+    if disj is not None and len(disj) == 1 and stats.df(disj[0][0]) >= IMPACT_MIN_DF:
+        return disj[0]
+    return None
+
+
+def search_leaves(
+    readers: list,
+    query: Q.Query,
+    stats: CollectionStats,
+    bm25: BM25,
+    k: int,
+    live,
+    floor: float = 0.0,
+    mode: str = "auto",
+    total_hits_threshold: int = DEFAULT_TOTAL_HITS_THRESHOLD,
+) -> TopDocs:
+    """Top-k of a rewritten ``query`` over leaf ``readers`` under global
+    ``stats`` — the leaf-slice executor (IndexSearcher.java:609-639).
+
+    ``live`` is None when no doc is deleted, else a callable mapping an
+    array of global docIDs to its keep mask. ``floor`` is a lower bound of
+    the global kth score (probe_score_floor, or 0.0 for none): the
+    cross-shard MaxScoreAccumulator seed (IndexSearcher.java:432) that lets
+    the pruning scorers skip from the first block.
+
+    Mode "maxscore" = the vectorized essential-list MaxScore scorer; "wand"
+    = document-at-a-time block-max WAND / conjunction (duel-verified
+    rank-identical); "auto" runs impact skipping for a big single term and
+    MaxScore when the optimistic essential-set simulation predicts most
+    postings are never decoded (measured 4-11x on head+rare disjunctions;
+    the dense bulk scorer wins otherwise), else the exhaustive bulk scorer.
+    """
+    mode = _pruning_mode(mode, live, total_hits_threshold)
+    coll = TopKCollector(k, total_hits_threshold)
+    imp = _impact_term(query, stats, mode)
+    if imp is not None:
+        for r in readers:
+            term_impact_topk(
+                r, imp[0], imp[1], k, stats, bm25, floor=floor,
+                total_hits_threshold=total_hits_threshold,
+                collector=coll, doc_base=r.doc_base,
+            )
+        return coll.result()
+    disj = _as_term_disjunction(query)
+    if mode in ("auto", "maxscore") and disj is not None and len(disj) >= 2:
+        clauses0 = _build_ms_clauses(readers[0], disj, stats, bm25)
+        if mode == "maxscore" or (
+            maxscore_saved_fraction(readers[0], disj, stats, bm25, clauses=clauses0)
+            >= MAXSCORE_MIN_SAVED_DF
+        ):
+            for ri, r in enumerate(readers):
+                maxscore_topk(
+                    r, disj, k, stats, bm25,
+                    total_hits_threshold=total_hits_threshold,
+                    collector=coll, doc_base=r.doc_base, floor=floor,
+                    clauses=clauses0 if ri == 0 else None,
+                )
+            return coll.result()
+    if mode == "wand" and disj is not None:
+        for r in readers:
+            wand_topk(
+                r, disj, k, stats, bm25, total_hits_threshold=total_hits_threshold,
+                collector=coll, doc_base=r.doc_base,
+            )
+        return coll.result()
+    conj = _as_term_conjunction(query) if mode == "wand" else None
+    if conj is not None:
+        for r in readers:
+            conjunction_topk(
+                r, conj, k, stats, bm25, total_hits_threshold=total_hits_threshold,
+                collector=coll, doc_base=r.doc_base,
+            )
+        return coll.result()
+
+    parts: list[TopDocs] = []
+    for r in readers:
+        docs, scores = eval_query(r, query, stats, bm25)
+        gdocs = docs + r.doc_base
+        if live is not None:
+            keep = live(gdocs)
+            gdocs, scores = gdocs[keep], scores[keep]
+        parts.append(topk_from_arrays(gdocs, scores, k))
+    return merge_topk(parts, k)
+
+
 class IndexSearcher:
     def __init__(
         self,
@@ -94,18 +215,7 @@ class IndexSearcher:
         self.index_dir = index_dir
         self.bm25 = bm25 or BM25()
         self.analyzer = get_analyzer(self.manifest.analyzer)
-        segs = sorted(self.manifest.segments, key=lambda s: s["doc_base"])
-        # NRT reopen (open_if_changed) passes the previous generation's
-        # readers keyed by segment dir: unchanged segments keep their
-        # already-open reader (mmaps, decoded dictionaries, caches) and
-        # only newly appended segments cold-open — the SegmentReader
-        # sharing DirectoryReader.openIfChanged does (s84
-        # index/StandardDirectoryReader.java:137).
-        reuse = reuse_readers or {}
-        self.readers = [
-            reuse.get(d) or SegmentReader(d)
-            for d in (os.path.join(index_dir, "segments", s["seg_name"]) for s in segs)
-        ]
+        self.readers = self._open_readers(reuse_readers or {})
         self.doc_count = self.manifest.doc_count
         self.sum_total_term_freq = self.manifest.sum_total_term_freq
         # live-docs filter (.liv analogue): deleted GLOBAL docIDs, sorted.
@@ -113,13 +223,23 @@ class IndexSearcher:
         # reclaiming merge, as in Lucene between commits.
         self.tombstones = load_tombstones(index_dir, manifest=self.manifest)
 
+    def _open_readers(self, reuse: dict) -> list:
+        """One SegmentReader per segment in doc_base order. NRT reopen
+        (open_if_changed) passes the previous generation's readers keyed by
+        segment dir: unchanged segments keep their already-open reader
+        (mmaps, decoded dictionaries, caches) and only newly appended
+        segments cold-open — the SegmentReader sharing
+        DirectoryReader.openIfChanged does (s84
+        index/StandardDirectoryReader.java:137)."""
+        segs = sorted(self.manifest.segments, key=lambda s: s["doc_base"])
+        return [
+            reuse.get(d) or SegmentReader(d)
+            for d in (os.path.join(self.index_dir, "segments", s["seg_name"]) for s in segs)
+        ]
+
     def _live(self, global_docs: np.ndarray) -> np.ndarray:
         """Boolean mask of docs NOT tombstoned."""
-        if len(self.tombstones) == 0:
-            return np.ones(len(global_docs), dtype=bool)
-        idx = np.searchsorted(self.tombstones, global_docs)
-        idx = np.minimum(idx, len(self.tombstones) - 1)
-        return self.tombstones[idx] != global_docs
+        return live_mask(self.tombstones, global_docs)
 
     # -- statistics ---------------------------------------------------------
 
@@ -161,6 +281,14 @@ class IndexSearcher:
             self._term_union = cached
         return cached
 
+    def create_weight(self, query: Q.Query) -> tuple[Q.Query, CollectionStats]:
+        """The createWeight half of a search: the query rewritten against
+        the term dictionary (only when it holds multi-term clauses) and the
+        global statistics of every term it scores."""
+        if Q.needs_rewrite(query):
+            query = Q.rewrite(query, self.term_dict_union())
+        return query, self.collection_stats(Q.collect_field_terms(query))
+
     # -- search -------------------------------------------------------------
 
     def parse(self, text: str, operator: str = Q.SHOULD, min_should_match: int = 0) -> Q.Query:
@@ -201,115 +329,19 @@ class IndexSearcher:
         mode: str = "auto",
         total_hits_threshold: int = DEFAULT_TOTAL_HITS_THRESHOLD,
     ) -> TopDocs:
-        if Q.needs_rewrite(query):  # multi-term expansion only when needed
-            query = Q.rewrite(query, self.term_dict_union())
-        stats = self.collection_stats(Q.collect_field_terms(query))
-
-        # mode "wand" = document-at-a-time block-max WAND (duel-verified
-        # rank-identical). "maxscore" = the vectorized essential-list
-        # MaxScore scorer. "auto" runs MaxScore when the optimistic
-        # essential-set simulation predicts most postings are never decoded
-        # (measured 4-11x on head+rare disjunctions; the dense bulk scorer
-        # wins otherwise), else the exhaustive bulk scorer.
-        # deletes are applied as a post-match live filter; the pruning
-        # collectors have no filter hook, so fall back to the bulk scorer
-        if mode in ("wand", "maxscore") and len(self.tombstones):
-            mode = "exhaustive"
-        # the TOP_SCORES vs COMPLETE ScoreMode split: a caller raising
-        # total_hits_threshold asks for accurate counts, which pruning
-        # scorers cannot give (they skip blocks/clauses below the bound and
-        # report GREATER_THAN_OR_EQUAL counts) — run exhaustive instead
-        if mode == "auto" and total_hits_threshold > DEFAULT_TOTAL_HITS_THRESHOLD:
-            mode = "exhaustive"
-        if mode in ("auto", "maxscore") and not len(self.tombstones):
-            ms_disj = _as_term_disjunction(query)
-            if (
-                ms_disj is not None
-                and len(ms_disj) == 1
-                and stats.df(ms_disj[0][0]) >= (1 << 16)
-            ):
-                # big single-term query: impact-level block skipping with a
-                # probed kth-score floor (2-4x over exhaustive at >=100k df;
-                # below ~64k df the probe overhead dominates)
-                from .wand import probe_score_floor, term_impact_topk
-
-                term, boost = ms_disj[0]
-                floor = probe_score_floor(self.readers[0], ms_disj, k, stats, self.bm25)
-                coll = TopKCollector(k, total_hits_threshold)
-                for r in self.readers:
-                    term_impact_topk(
-                        r, term, boost, k, stats, self.bm25, floor=floor,
-                        total_hits_threshold=total_hits_threshold,
-                        collector=coll, doc_base=r.doc_base,
-                    )
-                return coll.result()
-            if ms_disj is not None and len(ms_disj) >= 2:
-                from .wand import (
-                    MAXSCORE_MIN_SAVED_DF,
-                    _build_ms_clauses,
-                    maxscore_saved_fraction,
-                    maxscore_topk,
-                )
-
-                clauses0 = _build_ms_clauses(self.readers[0], ms_disj, stats, self.bm25)
-                use = mode == "maxscore" or (
-                    maxscore_saved_fraction(
-                        self.readers[0], ms_disj, stats, self.bm25, clauses=clauses0
-                    )
-                    >= MAXSCORE_MIN_SAVED_DF
-                )
-                if use:
-                    coll = TopKCollector(k, total_hits_threshold)
-                    for ri, r in enumerate(self.readers):
-                        maxscore_topk(
-                            r, ms_disj, k, stats, self.bm25,
-                            total_hits_threshold=total_hits_threshold,
-                            collector=coll,
-                            doc_base=r.doc_base,
-                            clauses=clauses0 if ri == 0 else None,
-                        )
-                    return coll.result()
-        disj = _as_term_disjunction(query) if mode == "wand" else None
-        if disj is not None:
-            coll = TopKCollector(k, total_hits_threshold)
-            for r in self.readers:
-                wand_topk(
-                    r, disj, k, stats, self.bm25,
-                    total_hits_threshold=total_hits_threshold,
-                    collector=coll,
-                    doc_base=r.doc_base,
-                )
-            return coll.result()
-        conj = _as_term_conjunction(query) if mode == "wand" else None
-        if conj is not None:
-            from .wand import conjunction_topk
-
-            coll = TopKCollector(k, total_hits_threshold)
-            for r in self.readers:
-                conjunction_topk(
-                    r, conj, k, stats, self.bm25,
-                    total_hits_threshold=total_hits_threshold,
-                    collector=coll,
-                    doc_base=r.doc_base,
-                )
-            return coll.result()
-
-        parts: list[TopDocs] = []
-        for r in self.readers:
-            docs, scores = eval_query(r, query, stats, self.bm25)
-            gdocs = docs + r.doc_base
-            live = self._live(gdocs)
-            td = topk_from_arrays(gdocs[live], scores[live], k)
-            parts.append(td)
-        return merge_topk(parts, k)
+        query, stats = self.create_weight(query)
+        live = self._live if len(self.tombstones) else None
+        imp = _impact_term(query, stats, _pruning_mode(mode, live, total_hits_threshold))
+        floor = 0.0 if imp is None else probe_score_floor(self.readers[0], [imp], k, stats, self.bm25)
+        return search_leaves(
+            self.readers, query, stats, self.bm25, k, live, floor, mode, total_hits_threshold
+        )
 
     def count(self, query: Q.Query | str) -> int:
         """Total matching docs (TotalHitCountCollector equivalent)."""
         if isinstance(query, str):
             query = self.parse(query)
-        if Q.needs_rewrite(query):
-            query = Q.rewrite(query, self.term_dict_union())
-        stats = self.collection_stats(Q.collect_field_terms(query))
+        query, stats = self.create_weight(query)
         return sum(
             int(self._live(eval_query(r, query, stats, self.bm25)[0] + r.doc_base).sum())
             for r in self.readers
@@ -322,9 +354,7 @@ class IndexSearcher:
         docs ranking strictly after (score, global docID)."""
         if isinstance(query, str):
             query = self.parse(query)
-        if Q.needs_rewrite(query):
-            query = Q.rewrite(query, self.term_dict_union())
-        stats = self.collection_stats(Q.collect_field_terms(query))
+        query, stats = self.create_weight(query)
         a_score, a_doc = np.float32(after[0]), int(after[1])
         parts = []
         for r in self.readers:

@@ -122,9 +122,9 @@ class _Parser:
 
     def dist_expr(self) -> _Node:
         node = self.primary()
-        while (p := self.peek()) is not None and (
-            _DIST_OP_RE.match(p) and self.toks[self.i + 1 : self.i + 2] != ["("]
-        ):
+        # after a primary a distance operator is always infix, also when
+        # its right operand is a group: "a W (b OR c)"
+        while (p := self.peek()) is not None and _DIST_OP_RE.match(p):
             m = _DIST_OP_RE.match(self.next())
             dist = int(m.group(1) or 1)
             node = _Op(m.group(2).lower(), [node, self.primary()], dist)

@@ -58,6 +58,8 @@ from ..state.segment import (
 )
 
 MERGED_MANIFEST = "merged.json"
+# pull-merge Ray tasks (blocks of specs) per CPU; merge_index_pull says why
+MERGE_BLOCKS_PER_CPU = 2
 
 
 @dataclass
@@ -151,8 +153,8 @@ def plan_merge_sampled(
     prefix: str = "",
 ) -> tuple[list[str], list[str]]:
     """(hot_terms, boundaries) WITHOUT materializing the global vocabulary
-    on the driver (the default scale path; collect_term_stats +
-    plan_merge_ranges remain as strategy="pull-exact").
+    on the driver (merge_index_pull's plan above 1,024 segments;
+    collect_term_stats + plan_merge_ranges are the exact plan below).
 
     Pass 1 (Ray, per segment): each segment's sorted dictionary emits (a)
     ~samples_per_segment df-mass quantile samples (term, df-mass since the
@@ -562,23 +564,19 @@ def merge_index_pull(
                   "fingerprint": fp, "resumed": False}]
             ).slice(0, 0)
 
-        # one Ray task per BLOCK of specs, ~2 blocks per CPU: at toy scale
-        # a block per spec means hundreds of ~50 ms tasks whose scheduling
-        # dwarfs the work; at 100-TB scale each spec is minutes of work and
-        # the min() leaves one spec per block. Specs are interleaved
-        # range/hot round-robin so a block doesn't accumulate one term's
-        # hottest buckets (skew guard).
+        # one Ray task per BLOCK of specs, MERGE_BLOCKS_PER_CPU (2) blocks
+        # per CPU: at toy scale a block per spec means hundreds of ~50 ms
+        # tasks whose scheduling dwarfs the work; at 100-TB scale each spec
+        # is minutes of work and the min() leaves one spec per block. Specs
+        # are interleaved range/hot round-robin so a block doesn't
+        # accumulate one term's hottest buckets (skew guard).
         try:
             import ray as _ray
 
             cpus = int(_ray.cluster_resources().get("CPU", 32))
         except Exception:
             cpus = 32
-        per_cpu = int(os.environ.get("LUCENE_RAY_MERGE_BLOCKS_PER_CPU", "2"))
-        if per_cpu <= 0:  # 0 = one block (task) per spec
-            n_blocks = len(specs)
-        else:
-            n_blocks = max(1, min(len(specs), cpus * per_cpu))
+        n_blocks = max(1, min(len(specs), cpus * MERGE_BLOCKS_PER_CPU))
         interleaved = [specs[i::n_blocks] for i in range(n_blocks)]
         flat = [s for group in interleaved for s in group]
         shard_stats = (
@@ -807,18 +805,18 @@ def merge_index(
 ) -> dict:
     """Distributed segment merge (Ray must be initialised).
 
-    strategy="pull" (default): range-partitioned ranged-read merge with
-    SAMPLED boundaries — see merge_index_pull. strategy="pull-exact":
-    same, with the exact whole-vocabulary driver aggregate for boundary
-    planning. strategy="groupby": the Ray Data groupby-on-term shuffle —
-    the true all-to-all path, kept for segment counts too large for
-    per-reducer fan-in reads.
+    strategy="pull" (default): range-partitioned ranged-read merge —
+    see merge_index_pull; its boundaries come from the exact
+    whole-vocabulary driver aggregate up to 1,024 segments and from
+    distributed df-quantile sampling beyond. strategy="groupby": the Ray
+    Data groupby-on-term shuffle — the true all-to-all path, kept for
+    segment counts too large for per-reducer fan-in reads.
     """
     if strategy == "pull":
         return merge_index_pull(index_dir, cfg)
-    if strategy == "pull-exact":
-        return merge_index_pull(index_dir, cfg, boundaries="exact")
-    return merge_index_groupby(index_dir, cfg)
+    if strategy == "groupby":
+        return merge_index_groupby(index_dir, cfg)
+    raise ValueError(f"strategy must be pull|groupby, got {strategy!r}")
 
 
 def merge_index_groupby(index_dir: str, cfg: MergeConfig | None = None) -> dict:

@@ -1,26 +1,48 @@
-"""Query serving: a stateful actor pool over the memory-mapped index.
+"""Query serving over the memory-mapped index: two entry points, one
+search core.
 
-The IndexSearcher + reader-pool analogue (SURVEY.md §2.3, §4 "search
-parallelism"): queries stream through ``map_batches(QueryScorer,
-concurrency=N)`` where each actor opens the merged index ONCE in
-``__init__`` (term dicts in RAM, postings/norms memory-mapped — the
-MMapDirectory.java:95 equivalent) and scores query batches in
-``__call__``.
+- ``serve(index_dir, specs)`` streams query rows through a Ray Data actor
+  pool, ``map_batches(QueryScorer, concurrency=N)``: each actor opens the
+  (merged, if fresh) index ONCE in ``__init__`` (term dicts in RAM,
+  postings/norms memory-mapped — the MMapDirectory.java:95 equivalent) and
+  scores its batches with ``searcher.search``. Batch throughput: the
+  actors partition the query stream.
+- ``ServingPool`` keeps one long-lived Ray actor per doc-range segment
+  shard and fans every query out to all of them — the IndexSearcher
+  LeafSlice model (IndexSearcher.java:222, 609-639) at the 10^12-doc
+  deployment shape. createWeight (parse, dictionary rewrite, global
+  statistics, the kth-score floor probe) runs once on the driver; each
+  shard returns its top-k and the driver reduces (CollectorManager.reduce).
 
-Scale path: at 10^12 docs each actor holds one doc-range shard of the
-merged index and every query fans out to all shards; per-shard top-k
-reduce via topk.merge_topk (CollectorManager.reduce, searcher.py). In
-this sandbox the whole index fits one shard, so the pool partitions the
-query stream instead — same stage shape, same actor signature.
+Both score through ``search.searcher.search_leaves``, so every path
+shares one scorer-dispatch rule and one live-docs filter.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+
 import pyarrow as pa
 
 from ..search import queries as Q
 from ..search.merged import open_searcher
+
+RESULT_SCHEMA = pa.schema(
+    [("query_id", pa.string()), ("rank", pa.int64()), ("doc_id", pa.int64()),
+     ("score", pa.float64())]
+)
+SPEC_SCHEMA = pa.schema(
+    [("query_id", pa.string()), ("k", pa.int64()), ("terms", pa.list_(pa.string())),
+     ("qstr", pa.string()), ("similarity", pa.string())]
+)
+
+
+def hit_rows(query_id: str, td) -> list[dict]:
+    """RESULT_SCHEMA rows of one query's TopDocs, rank 1 first."""
+    return [
+        {"query_id": query_id, "rank": r, "doc_id": int(d), "score": float(s)}
+        for r, (d, s) in enumerate(zip(td.doc_ids, td.scores), start=1)
+    ]
 
 
 class QueryScorer:
@@ -32,29 +54,24 @@ class QueryScorer:
     and caches it, sharing the process's mmapped artifacts across specs
     (only the lightweight searcher wrapper is per-spec)."""
 
-    def __init__(self, index_dir: str, mode: str = "auto"):
+    def __init__(self, index_dir: str):
         self.index_dir = index_dir
-        self.searcher = open_searcher(index_dir, prefer_merged=True)
-        self.mode = mode
-        self._sim_searchers: dict[str, object] = {}
+        self._searchers = {None: open_searcher(index_dir, prefer_merged=True)}
 
     def _searcher_for(self, sim_spec):
-        if not sim_spec:
-            return self.searcher
-        if sim_spec not in self._sim_searchers:
+        if sim_spec not in self._searchers:
             from ..functions.bm25 import get_similarity
 
-            self._sim_searchers[sim_spec] = open_searcher(
-                self.index_dir, prefer_merged=True,
-                bm25=get_similarity(sim_spec),
+            self._searchers[sim_spec] = open_searcher(
+                self.index_dir, prefer_merged=True, bm25=get_similarity(sim_spec),
             )
-        return self._sim_searchers[sim_spec]
+        return self._searchers[sim_spec]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, docs, scores = [], [], [], []
+        rows = []
         for row in batch.to_pylist():
-            searcher = self._searcher_for(row.get("similarity"))
-            if row.get("qstr") is not None:
+            searcher = self._searcher_for(row["similarity"])
+            if row["qstr"] is not None:
                 # classic-parser query string (grouping, field scopes,
                 # phrases, multi-term rewrites — the full parse_classic
                 # surface) compiled per row against the actor's analyzer
@@ -63,179 +80,63 @@ class QueryScorer:
                 query = Q.BooleanQuery.build(
                     [(Q.SHOULD, Q.TermQuery(t)) for t in row["terms"]]
                 )
-            td = searcher.search(query, k=int(row["k"]), mode=self.mode)
-            for r, (d, s) in enumerate(zip(td.doc_ids, td.scores), start=1):
-                qids.append(row["query_id"])
-                ranks.append(r)
-                docs.append(int(d))
-                scores.append(float(s))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(docs, pa.int64()),
-                "score": pa.array(scores, pa.float64()),
-            }
-        )
+            rows.extend(hit_rows(row["query_id"], searcher.search(query, k=int(row["k"]))))
+        return pa.Table.from_pylist(rows, schema=RESULT_SCHEMA)
 
 
-class ShardScorer:
-    """Leaf-slice actor: owns a doc-range subset of segments.
-
-    The IndexSearcher LeafSlice executor model (IndexSearcher.java:222,
-    609-639): global CollectionStatistics are computed ONCE on the driver
-    (createWeight) and broadcast via ray.put; each actor opens only its
-    shard's segment readers (lazily, cached across queries) and returns a
-    per-shard top-k that the driver reduces (CollectorManager.reduce).
-    """
-
-    def __init__(self, index_dir: str, shard_segs: dict[int, list[str]], stats_ref):
-        import ray
-
-        from ..functions.bm25 import BM25
-        from ..search.scorers import CollectionStats
-        from ..state.livedocs import load_tombstones
-
-        self.index_dir = index_dir
-        self.shard_segs = shard_segs
-        dc, sttf, df, ttf = ray.get(stats_ref)
-        self.stats = CollectionStats(dc, sttf, df, ttf)
-        self.bm25 = BM25()
-        self.tombstones = load_tombstones(index_dir)
-        self._readers: dict[int, list] = {}
-
-    def _live(self, gdocs):
-        if len(self.tombstones) == 0:
-            return np.ones(len(gdocs), dtype=bool)
-        idx = np.minimum(
-            np.searchsorted(self.tombstones, gdocs), len(self.tombstones) - 1
-        )
-        return self.tombstones[idx] != gdocs
-
-    def _shard_readers(self, sid: int):
-        if sid not in self._readers:
-            import os
-
-            from ..state.segment import SegmentReader
-
-            self._readers[sid] = [
-                SegmentReader(os.path.join(self.index_dir, "segments", name))
-                for name in self.shard_segs[sid]
-            ]
-        return self._readers[sid]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..search.scorers import eval_query
-        from ..search.topk import topk_from_arrays
-
-        qids, sids, ranks, docs, scores = [], [], [], [], []
-        for row in batch.to_pylist():
-            query = Q.BooleanQuery.build(
-                [(Q.SHOULD, Q.TermQuery(t)) for t in row["terms"]]
-            )
-            k = int(row["k"])
-            for r in self._shard_readers(int(row["shard_id"])):
-                d, s = eval_query(r, query, self.stats, self.bm25)
-                gdocs = d + r.doc_base
-                live = self._live(gdocs)
-                td = topk_from_arrays(gdocs[live], s[live], k)
-                for rk, (dd, ss) in enumerate(zip(td.doc_ids, td.scores), start=1):
-                    qids.append(row["query_id"])
-                    sids.append(int(row["shard_id"]))
-                    ranks.append(rk)
-                    docs.append(int(dd))
-                    scores.append(float(ss))
-        return pa.table(
-            {
-                "query_id": pa.array(qids, pa.string()),
-                "shard_id": pa.array(sids, pa.int64()),
-                "rank": pa.array(ranks, pa.int64()),
-                "doc_id": pa.array(docs, pa.int64()),
-                "score": pa.array(scores, pa.float64()),
-            }
-        )
-
-
-def serve_queries_sharded(
-    index_dir: str,
-    query_specs: list[tuple[str, list[str], int]],
-    n_shards: int = 4,
-    concurrency: int = 2,
-) -> pa.Table:
-    """Fan each query out to doc-range segment shards, reduce to global
-    top-k: (query_id, rank, doc_id, score). Results are identical to the
-    single-searcher path because scoring uses global statistics and the
-    reduce is the TopScoreDocCollector merge order."""
-    import numpy as np
+def serve(index_dir: str, specs: list[dict], concurrency: int = 2) -> pa.Table:
+    """Score query rows on ``concurrency`` QueryScorer actors; returns
+    (query_id, rank, doc_id, score). Each spec row holds ``query_id``,
+    ``k``, and either ``terms`` (scored as their SHOULD disjunction) or
+    ``qstr`` (a classic-parser string, parsed at the actor); an optional
+    ``similarity`` names a get_similarity spec."""
     import ray
     import ray.data as rd
 
-    from ..search.searcher import IndexSearcher
-    from ..search.topk import TopDocs, merge_topk
-    from ..state.manifest import IndexManifest
-
-    manifest = IndexManifest.load(index_dir)
-    segs = sorted(manifest.segments, key=lambda s: s["doc_base"])
-    n_shards = min(n_shards, len(segs))
-    shard_segs = {
-        i: [s["seg_name"] for s in part]
-        for i, part in enumerate(np.array_split(segs, n_shards))
-    }
-
-    # createWeight on the driver: global stats for every query term
-    searcher = IndexSearcher(index_dir)
-    all_terms = {t for _, terms, _ in query_specs for t in terms}
-    st = searcher.collection_stats(all_terms)
-    stats_ref = ray.put((st.doc_count, st.sum_total_term_freq, st.term_df, st.term_ttf))
-
-    rows = [
-        {"query_id": str(qid), "terms": terms, "k": k, "shard_id": sid}
-        for qid, terms, k in query_specs
-        for sid in range(n_shards)
-    ]
-    ds = rd.from_items(rows, override_num_blocks=max(len(rows), 1)).map_batches(
-        ShardScorer,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "shard_segs": shard_segs,
-            "stats_ref": stats_ref,
-        },
+    rows = pa.Table.from_pylist(
+        [
+            {"query_id": str(s["query_id"]), "k": int(s["k"]), "terms": s.get("terms"),
+             "qstr": s.get("qstr"), "similarity": s.get("similarity")}
+            for s in specs
+        ],
+        schema=SPEC_SCHEMA,
+    )
+    # one block per query: the pool load-balances query by query, and
+    # starts no more actors than there are queries
+    blocks = [rows.slice(i, 1) for i in range(rows.num_rows)] or [rows]
+    ds = rd.from_arrow(blocks).map_batches(
+        QueryScorer,
+        fn_constructor_kwargs={"index_dir": index_dir},
         batch_format="pyarrow",
         batch_size=4,
-        concurrency=concurrency,
+        concurrency=min(concurrency, len(blocks)),
     )
     parts = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    per_query: dict[str, list[TopDocs]] = {}
-    ks = {str(qid): k for qid, _t, k in query_specs}
-    # rebuild per-(query, shard) TopDocs then reduce
-    groups: dict[tuple[str, int], list] = {}
-    for t in parts:
-        for row in t.to_pylist():
-            groups.setdefault((row["query_id"], row["shard_id"]), []).append(row)
-    for (qid, _sid), rows_g in groups.items():
-        rows_g.sort(key=lambda r: r["rank"])
-        per_query.setdefault(qid, []).append(
-            TopDocs(
-                doc_ids=np.array([r["doc_id"] for r in rows_g], dtype=np.int64),
-                scores=np.array([r["score"] for r in rows_g], dtype=np.float32),
-            )
-        )
-    qids, ranks, docs, scores = [], [], [], []
-    for qid, parts_td in per_query.items():
-        td = merge_topk(parts_td, ks[qid])
-        for r, (d, s) in enumerate(zip(td.doc_ids, td.scores), start=1):
-            qids.append(qid)
-            ranks.append(r)
-            docs.append(int(d))
-            scores.append(float(s))
-    return pa.table(
-        {
-            "query_id": pa.array(qids, pa.string()),
-            "rank": pa.array(ranks, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "score": pa.array(scores, pa.float64()),
-        }
-    )
+    return pa.concat_tables(parts) if parts else RESULT_SCHEMA.empty_table()
+
+
+class _Shard:
+    """ServingPool actor: the segment readers of one doc-range shard
+    (opened and memory-mapped once) and the commit's live-docs filter."""
+
+    def __init__(self, seg_dirs: list[str], tombstones):
+        from ..functions.bm25 import BM25
+        from ..state.livedocs import live_mask
+        from ..state.segment import SegmentReader
+
+        self.readers = [SegmentReader(d) for d in seg_dirs]
+        self.live = functools.partial(live_mask, tombstones) if len(tombstones) else None
+        self.bm25 = BM25()
+
+    def search(self, query, k: int, stats_tuple: tuple, floor: float):
+        """This shard's top-k of a rewritten query under the driver's
+        global statistics; ``floor`` is the driver-probed lower bound of
+        the global kth score (0.0 for none)."""
+        from ..search.scorers import CollectionStats
+        from ..search.searcher import search_leaves
+
+        stats = CollectionStats.from_tuple(stats_tuple)
+        return search_leaves(self.readers, query, stats, self.bm25, k, self.live, floor)
 
 
 class ServingPool:
@@ -247,188 +148,56 @@ class ServingPool:
     """
 
     def __init__(self, index_dir: str, n_shards: int = 8):
-        import ray
-
-        from ..search.searcher import IndexSearcher
-        from ..state.manifest import IndexManifest
-
-        manifest = IndexManifest.load(index_dir)
-        segs = sorted(manifest.segments, key=lambda s: s["doc_base"])
-        n_shards = min(n_shards, len(segs))
-        import numpy as _np
-
-        shard_segs = [
-            [s["seg_name"] for s in part]
-            for part in _np.array_split(segs, n_shards)
-        ]
-
-        @ray.remote
-        class _Shard:
-            def __init__(self, index_dir, seg_names):
-                import os as _os
-
-                import numpy as _np
-
-                from lucene_7_x_9_x_ray.state.livedocs import load_tombstones
-                from lucene_7_x_9_x_ray.state.segment import SegmentReader
-
-                self.readers = [
-                    SegmentReader(_os.path.join(index_dir, "segments", n))
-                    for n in seg_names
-                ]
-                self.tombstones = load_tombstones(index_dir)
-
-            def topk(self, terms, k, stats_tuple, floor: float = 0.0):
-                """Per-shard top-k. ``floor`` is the cross-shard
-                min-competitive seed (MaxScoreAccumulator analogue,
-                IndexSearcher.java:432): a LOWER bound of the global kth
-                score, letting every shard skip blocks/clauses that cannot
-                reach the global top-k — without it each shard does full-k
-                work on its whole doc range."""
-                import numpy as _np
-
-                from lucene_7_x_9_x_ray.functions.bm25 import BM25
-                from lucene_7_x_9_x_ray.search import queries as Q
-                from lucene_7_x_9_x_ray.search.scorers import (
-                    CollectionStats,
-                    eval_query,
-                )
-                from lucene_7_x_9_x_ray.search.topk import TopKCollector, topk_from_arrays
-                from lucene_7_x_9_x_ray.search.wand import maxscore_topk, term_impact_topk
-
-                from lucene_7_x_9_x_ray.search.wand import (
-                    MAXSCORE_MIN_SAVED_DF,
-                    maxscore_saved_fraction,
-                )
-
-                stats = CollectionStats(*stats_tuple)
-                bm25 = BM25()
-                tb = [(t, 1.0) for t in terms]
-                pruned_ok = floor > 0.0 and not len(self.tombstones)
-                if pruned_ok and len(terms) > 1:
-                    # same dispatch rule as the searcher: MaxScore only when
-                    # the essential-set simulation predicts real savings
-                    pruned_ok = (
-                        maxscore_saved_fraction(self.readers[0], tb, stats, bm25)
-                        >= MAXSCORE_MIN_SAVED_DF
-                    )
-                if pruned_ok:
-                    coll = TopKCollector(k, total_hits_threshold=1)
-                    for r in self.readers:
-                        if len(terms) == 1:
-                            term_impact_topk(
-                                r, terms[0], 1.0, k, stats, bm25, floor=floor,
-                                collector=coll, doc_base=r.doc_base,
-                            )
-                        else:
-                            maxscore_topk(
-                                r, tb, k, stats, bm25,
-                                collector=coll, doc_base=r.doc_base, floor=floor,
-                            )
-                    td = coll.result()
-                    return [(td.doc_ids.tolist(), td.scores.tolist())]
-                # exhaustive fallback: same reader loop as topk_query
-                query = Q.BooleanQuery.build(
-                    [(Q.SHOULD, Q.TermQuery(t)) for t in terms]
-                )
-                return self.topk_query(query, k, stats.to_tuple())
-
-            def topk_query(self, query, k, stats_tuple):
-                """Per-shard top-k for an ARBITRARY (rewritten) query tree
-                — the query dataclasses pickle through Ray, so phrases,
-                boolean trees, field-scoped and numeric-range clauses all
-                serve from the same shard actors."""
-                import numpy as _np
-
-                from lucene_7_x_9_x_ray.functions.bm25 import BM25
-                from lucene_7_x_9_x_ray.search.scorers import (
-                    CollectionStats,
-                    eval_query,
-                )
-                from lucene_7_x_9_x_ray.search.topk import topk_from_arrays
-
-                stats = CollectionStats.from_tuple(stats_tuple)
-                bm25 = BM25()
-                out = []
-                for r in self.readers:
-                    d, s = eval_query(r, query, stats, bm25)
-                    gdocs = d + r.doc_base
-                    if len(self.tombstones):
-                        idx = _np.minimum(
-                            _np.searchsorted(self.tombstones, gdocs),
-                            len(self.tombstones) - 1,
-                        )
-                        live = self.tombstones[idx] != gdocs
-                        gdocs, s = gdocs[live], s[live]
-                    td = topk_from_arrays(gdocs, s, k)
-                    out.append((td.doc_ids.tolist(), td.scores.tolist()))
-                return out
-
-        self._actors = [
-            _Shard.remote(index_dir, names) for names in shard_segs
-        ]
-        self._searcher = IndexSearcher(index_dir)
-
-    def search(self, terms: list[str], k: int = 10, share_min_score: bool = True):
-        """Global top-k: fan out to every shard actor, reduce locally.
-
-        ``share_min_score`` seeds every shard with a driver-probed lower
-        bound of the global kth score (probe_score_floor — a handful of
-        highest-impact blocks decoded once), so shards prune from the
-        first block instead of each doing full-k work — the cross-shard
-        MaxScoreAccumulator exchange (IndexSearcher.java:432)."""
         import numpy as np
         import ray
 
-        from ..search.topk import TopDocs, merge_topk
-        from ..search.wand import probe_score_floor
+        from ..search.searcher import IndexSearcher
 
-        stats = self._searcher.collection_stats(set(terms))
-        st = (stats.doc_count, stats.sum_total_term_freq, stats.term_df, stats.term_ttf)
-        floor = 0.0
-        if share_min_score and not len(self._searcher.tombstones):
-            floor = probe_score_floor(
-                self._searcher.readers[0], [(t, 1.0) for t in terms], k,
-                stats, self._searcher.bm25,
-            )
-        futs = [a.topk.remote(terms, k, st, floor) for a in self._actors]
-        return self._reduce(futs, k)
+        # the driver's searcher holds the commit the shards serve: its
+        # tombstones ride to the shards, its readers give the shard split
+        self._searcher = IndexSearcher(index_dir)
+        seg_dirs = [r.seg_dir for r in self._searcher.readers]
+        parts = np.array_split(np.arange(len(seg_dirs)), min(n_shards, len(seg_dirs)))
+        shard = ray.remote(_Shard)
+        self._actors = [
+            shard.remote([seg_dirs[i] for i in part], self._searcher.tombstones)
+            for part in parts
+        ]
+
+    def search(self, terms: list[str], k: int = 10):
+        """Global top-k of the SHOULD disjunction of ``terms``."""
+        return self.search_query(
+            Q.BooleanQuery.build([(Q.SHOULD, Q.TermQuery(t)) for t in terms]), k
+        )
 
     def search_query(self, query, k: int = 10):
         """Global top-k for an arbitrary query — a string (classic parser)
         or any Query tree: phrases, field-scoped clauses, numeric ranges,
         multi-term rewrites. createWeight runs on the driver (parse,
-        dictionary rewrite, global stats); shards evaluate leaves."""
+        dictionary rewrite, global stats); shards evaluate leaves.
+
+        A plain term disjunction on a commit without deletes seeds every
+        shard with a driver-probed lower bound of the global kth score
+        (probe_score_floor — a handful of highest-impact blocks decoded
+        once), so shards prune from the first block instead of each doing
+        full-k work — the cross-shard MaxScoreAccumulator exchange
+        (IndexSearcher.java:432)."""
         import ray
 
-        from ..search import queries as Q
+        from ..search.searcher import _as_term_disjunction
+        from ..search.topk import merge_topk
+        from ..search.wand import probe_score_floor
 
+        s = self._searcher
         if isinstance(query, str):
-            query = Q.parse_classic(query, self._searcher.analyzer)
-        if Q.needs_rewrite(query):
-            query = Q.rewrite(query, self._searcher.term_dict_union())
-        stats = self._searcher.collection_stats(Q.collect_field_terms(query))
-        futs = [
-            a.topk_query.remote(query, k, stats.to_tuple()) for a in self._actors
-        ]
-        return self._reduce(futs, k)
-
-    def _reduce(self, futs, k: int):
-        import numpy as np
-        import ray
-
-        from ..search.topk import TopDocs, merge_topk
-
-        parts = []
-        for res in ray.get(futs):
-            for docs, scores in res:
-                parts.append(
-                    TopDocs(
-                        doc_ids=np.asarray(docs, dtype=np.int64),
-                        scores=np.asarray(scores, dtype=np.float32),
-                    )
-                )
-        return merge_topk(parts, k)
+            query = Q.parse_classic(query, s.analyzer)
+        query, stats = s.create_weight(query)
+        disj = _as_term_disjunction(query)
+        floor = 0.0
+        if disj is not None and not len(s.tombstones):
+            floor = probe_score_floor(s.readers[0], disj, k, stats, s.bm25)
+        st = stats.to_tuple()
+        return merge_topk(ray.get([a.search.remote(query, k, st, floor) for a in self._actors]), k)
 
     def shutdown(self) -> None:
         """Terminate the shard actor processes. Idle actors hold no CPU
@@ -441,107 +210,3 @@ class ServingPool:
         for a in self._actors:
             ray.kill(a, no_restart=True)
         self._actors = []
-
-
-def serve_parsed_queries(
-    index_dir: str,
-    query_specs: list[tuple[str, str, int]],
-    concurrency: int = 2,
-    mode: str = "auto",
-) -> pa.Table:
-    """Run (query_id, classic-parser string, k) specs through the scoring
-    actor pool — the parse-at-the-actor serving path."""
-    import ray
-    import ray.data as rd
-
-    items = [
-        {"query_id": str(qid), "qstr": qstr, "k": k} for qid, qstr, k in query_specs
-    ]
-    ds = rd.from_items(items, override_num_blocks=max(len(items), 1)).map_batches(
-        QueryScorer,
-        fn_constructor_kwargs={"index_dir": index_dir, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=4,
-        concurrency=concurrency,
-    )
-    parts = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    return pa.concat_tables(parts)
-
-
-def serve_similarity_queries(
-    index_dir: str,
-    query_specs: list[tuple[str, list[str], int, str]],
-    concurrency: int = 2,
-    mode: str = "auto",
-) -> pa.Table:
-    """Run (query_id, terms, k, similarity_spec) specs through the scoring
-    actor pool — setSimilarity at the actor: each actor binds searchers to
-    the requested Similarity specs once and serves every spec from the
-    same mmapped index."""
-    import ray
-    import ray.data as rd
-
-    items = [
-        {"query_id": str(qid), "terms": terms, "k": k, "similarity": sim}
-        for qid, terms, k, sim in query_specs
-    ]
-    ds = rd.from_items(items, override_num_blocks=max(len(items), 1)).map_batches(
-        QueryScorer,
-        fn_constructor_kwargs={"index_dir": index_dir, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=4,
-        concurrency=concurrency,
-    )
-    parts = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    return pa.concat_tables(parts)
-
-
-def serve_queries(
-    index_dir: str,
-    query_specs: list[tuple[str, list[str], int]],
-    concurrency: int = 2,
-    mode: str = "auto",
-) -> pa.Table:
-    """Run (query_id, terms, k) specs through the scoring actor pool."""
-    import ray
-    import ray.data as rd
-
-    items = [
-        {"query_id": str(qid), "terms": terms, "k": k} for qid, terms, k in query_specs
-    ]
-    ds = rd.from_items(items, override_num_blocks=max(len(items), 1)).map_batches(
-        QueryScorer,
-        fn_constructor_kwargs={"index_dir": index_dir, "mode": mode},
-        batch_format="pyarrow",
-        batch_size=4,
-        concurrency=concurrency,
-    )
-    parts = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    return pa.concat_tables(parts)

@@ -42,6 +42,14 @@ def load_tombstones(index_dir: str, manifest=None) -> np.ndarray:
     return np.asarray(sorted(load_json(path)["deleted"]), dtype=np.int64)
 
 
+def live_mask(tombstones: np.ndarray, global_docs: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``global_docs`` NOT in the sorted ``tombstones``."""
+    if len(tombstones) == 0:
+        return np.ones(len(global_docs), dtype=bool)
+    idx = np.minimum(np.searchsorted(tombstones, global_docs), len(tombstones) - 1)
+    return tombstones[idx] != global_docs
+
+
 def delete_docs(index_dir: str, global_doc_ids) -> int:
     """Add docIDs to the tombstone set; returns the new deleted count."""
     cur = set(int(d) for d in load_tombstones(index_dir))

@@ -4,6 +4,7 @@ Each owns its own local Ray session, so they run OUTSIDE the pytest
 session's Ray (fresh processes, RAY_ADDRESS=local)."""
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -66,3 +67,13 @@ def test_build_and_query_jobs_end_to_end(tmp_path):
     assert all(r["score"] > 0 for r in got["q1"])
     # delta appears in every third doc only
     assert {r["doc_id"] % 3 for r in got["q2"]} == {0}
+
+    # --sharded serves from a ServingPool of segment shards: same hits
+    outs = str(tmp_path / "hits_sharded.parquet")
+    _run(
+        ["jobs/query_job.py", "--index-dir", idx, "--queries", qfile,
+         "--k", "5", "--out", outs, "--sharded"],
+        cwd=REPO,
+    )
+    key = operator.itemgetter("query_id", "rank")
+    assert sorted(pq.read_table(outs).to_pylist(), key=key) == sorted(hits.to_pylist(), key=key)

@@ -188,7 +188,7 @@ def test_sampled_boundaries_match_exact_results(ray_session, tmp_path):
     from lucene_7_x_9_x_ray.search.merged import open_searcher
     from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
     from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
-    from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index
+    from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index_pull
 
     pages = generate_pages(800, vocab_size=300, mean_tokens=30, seed=81)
     path = str(tmp_path / "p.parquet")
@@ -198,11 +198,9 @@ def test_sampled_boundaries_match_exact_results(ray_session, tmp_path):
     idx_b = str(tmp_path / "b")
     shutil.copytree(idx_a, idx_b)
 
-    from lucene_7_x_9_x_ray.stages.merge import merge_index_pull
-
     cfg = MergeConfig(n_shards=6, hot_df_threshold=200)
     ma = merge_index_pull(idx_a, cfg, boundaries="sampled")  # force the scale plan
-    mb = merge_index(idx_b, cfg, strategy="pull-exact")      # whole-vocab driver
+    mb = merge_index_pull(idx_b, cfg, boundaries="exact")    # whole-vocab driver
     # single-pass hot detection salts a conservative SUPERSET of the true set
     assert set(mb["hot_terms"]) <= set(ma["hot_terms"]) and mb["hot_terms"]
 

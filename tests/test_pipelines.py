@@ -502,7 +502,7 @@ def test_serve_stage_matches_searcher(ray_session, tmp_path):
     from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
     from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
     from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index
-    from lucene_7_x_9_x_ray.stages.serve import serve_queries
+    from lucene_7_x_9_x_ray.stages.serve import serve
 
     pages = generate_pages(600, vocab_size=500, mean_tokens=40)
     path = str(tmp_path / "pages.parquet")
@@ -512,7 +512,8 @@ def test_serve_stage_matches_searcher(ray_session, tmp_path):
     merge_index(idx, MergeConfig(n_shards=4, hot_df_threshold=50))
 
     specs = [("q1", ["t00000"], 5), ("q2", ["t00001", "t00040"], 7), ("q3", ["t00420"], 3)]
-    served = serve_queries(idx, specs, concurrency=2)
+    served = serve(idx, [{"query_id": q, "terms": t, "k": k} for q, t, k in specs],
+                   concurrency=2)
     s = open_searcher(idx)
     got = {r["query_id"]: [] for r in served.to_pylist()}
     for r in served.to_pylist():
@@ -638,7 +639,7 @@ def test_sharded_serving_matches_searcher(ray_session, tmp_path):
     from lucene_7_x_9_x_ray.search.searcher import IndexSearcher
     from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
     from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
-    from lucene_7_x_9_x_ray.stages.serve import serve_queries_sharded
+    from lucene_7_x_9_x_ray.stages.serve import ServingPool, hit_rows
 
     pages = generate_pages(500, vocab_size=200, mean_tokens=30, seed=21)
     path = str(tmp_path / "pages.parquet")
@@ -647,10 +648,12 @@ def test_sharded_serving_matches_searcher(ray_session, tmp_path):
     build_index([path], idx, BuildConfig(target_docs_per_segment=50))
 
     specs = [("q1", ["t00000"], 5), ("q2", ["t00003", "t00010"], 8), ("q3", ["t00150"], 4)]
-    served = serve_queries_sharded(idx, specs, n_shards=4, concurrency=2)
+    pool = ServingPool(idx, n_shards=4)
+    served = [r for qid, terms, k in specs for r in hit_rows(qid, pool.search(terms, k))]
+    pool.shutdown()
     s = IndexSearcher(idx)
     got: dict[str, list] = {}
-    for r in served.to_pylist():
+    for r in served:
         got.setdefault(r["query_id"], []).append(
             (r["rank"], r["doc_id"], np.float32(r["score"]))
         )
@@ -917,7 +920,7 @@ def test_serving_paths_respect_tombstones(ray_session, tmp_path):
     from lucene_7_x_9_x_ray.search.searcher import IndexSearcher
     from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
     from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
-    from lucene_7_x_9_x_ray.stages.serve import ServingPool, serve_queries_sharded
+    from lucene_7_x_9_x_ray.stages.serve import ServingPool
     from lucene_7_x_9_x_ray.state.livedocs import delete_docs
 
     pages = generate_pages(200, vocab_size=30, mean_tokens=20, seed=81, dup_url_frac=0)
@@ -930,11 +933,15 @@ def test_serving_paths_respect_tombstones(ray_session, tmp_path):
     victim = int(s.search(Q.TermQuery("t00000"), k=1).doc_ids[0])
     delete_docs(idx, [victim])
 
-    served = serve_queries_sharded(idx, [("q", ["t00000"], 200)], n_shards=2)
-    assert victim not in set(served["doc_id"].to_pylist())
     pool = ServingPool(idx, n_shards=2)
     td = pool.search(["t00000"], 200)
     assert victim not in set(int(d) for d in td.doc_ids)
+    # a disjunction the pool would seed with a probed floor without deletes:
+    # under a tombstone the shards filter it out and still match the searcher
+    q = Q.BooleanQuery.build([(Q.SHOULD, Q.TermQuery("t00000")), (Q.SHOULD, Q.TermQuery("t00003"))])
+    a, b = IndexSearcher(idx).search(q, k=5), pool.search_query(q, k=5)
+    assert victim not in set(int(d) for d in b.doc_ids)
+    assert list(a.doc_ids) == list(b.doc_ids) and np.array_equal(a.scores, b.scores)
     pool.shutdown()
 
 

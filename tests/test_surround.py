@@ -38,6 +38,17 @@ def test_infix_and_nesting_and_case():
     assert orq.clauses[0] == Q.SpanOrQuery(
         (Q.SpanTermQuery("window"), Q.SpanTermQuery("stream"))
     )
+    # a grouped right operand after an infix distance op
+    assert parse_surround("a W (b OR c)") == Q.SpanNearQuery(
+        (Q.SpanTermQuery("a"),
+         Q.SpanOrQuery((Q.SpanTermQuery("b"), Q.SpanTermQuery("c")))),
+        slop=0, in_order=True,
+    )
+    assert parse_surround("a 3N (b OR c)") == Q.SpanNearQuery(
+        (Q.SpanTermQuery("a"),
+         Q.SpanOrQuery((Q.SpanTermQuery("b"), Q.SpanTermQuery("c")))),
+        slop=2, in_order=False,
+    )
     # Terms lowercase like the reference's analyzer pass
     assert parse_surround("KEY w HASH").clauses[0] == Q.SpanTermQuery("key")
 
