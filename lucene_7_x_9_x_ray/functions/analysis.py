@@ -21,9 +21,15 @@ Documented deviations from full UAX#29: regional-indicator/emoji sequences
 are not tokenized (dropped), and connector rules check only the right-hand
 neighbor. Conformance vectors live in tests/test_analysis.py.
 
-Batch API: tokenize a whole Arrow batch in one regex pass over a
-sentinel-joined string; per-token doc assignment via searchsorted — no
-Python loop over tokens in the hot path.
+Batch API: ``tokenize_batch`` runs one compiled-regex ``findall`` per
+document (a Python loop over documents, never over tokens), then builds
+the flat token array and its doc index with one ``np.repeat`` over the
+per-document counts. Each analyzer's ``_findall`` may take a
+per-document fast path — StandardAnalyzer matches a pure-ASCII document
+with a narrower ASCII word regex — so a document's tokens never depend on
+its batch neighbours. (One pass over a sentinel-joined batch gave the same
+tokens but only ~25% less tokenize time on 40,960 pages, so the simpler
+per-document loop stays.)
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.rounding import round_half_away
+from ..stages.fanout import fan_out
 from .common import HEAVY_ROWS_PER_BLOCK, sized_read
 
 ANN_K = 10
@@ -385,8 +386,6 @@ def build_hnsw_index(sf_dir: str, target_rows: int = 4096) -> str:
     import json
     import os
 
-    import ray.data as rd
-
     out = _hnsw_dir(sf_dir)
     meta_path = os.path.join(out, "meta.json")
     if os.path.exists(meta_path):
@@ -411,41 +410,29 @@ def build_hnsw_index(sf_dir: str, target_rows: int = 4096) -> str:
 
     src = f"{sf_dir}/embeddings.parquet"
 
-    def build_one(batch: pa.Table) -> pa.Table:
+    def build_one(spec: dict) -> dict:
         from ..functions.hnsw import build_hnsw
 
-        out_rows = []
-        for spec in batch.to_pylist():
-            pf_ = pq.ParquetFile(src)
-            t = pf_.read_row_groups(
-                list(range(spec["rg_start"], spec["rg_end"])),
-                columns=["vec_id", "embedding"], use_threads=False,
-            )
-            ids = t["vec_id"].to_numpy()
-            v = _normalize(
-                np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
-            ).astype(np.float32)
-            g = build_hnsw(v)
-            import os as _os
+        t = pq.ParquetFile(src).read_row_groups(
+            list(range(spec["rg_start"], spec["rg_end"])),
+            columns=["vec_id", "embedding"], use_threads=False,
+        )
+        ids = t["vec_id"].to_numpy()
+        v = _normalize(
+            np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
+        ).astype(np.float32)
+        g = build_hnsw(v)
+        pdir = os.path.join(out, f"part_{spec['part']:04d}")
+        os.makedirs(pdir, exist_ok=True)
+        np.savez(os.path.join(pdir, "graph.npz"), **g.to_arrays())
+        np.save(os.path.join(pdir, "vecs.npy"), v)
+        np.save(os.path.join(pdir, "ids.npy"), ids.astype(np.int64))
+        return {"part": spec["part"], "n": int(len(ids))}
 
-            pdir = _os.path.join(out, f"part_{spec['part']:04d}")
-            _os.makedirs(pdir, exist_ok=True)
-            np.savez(_os.path.join(pdir, "graph.npz"), **g.to_arrays())
-            np.save(_os.path.join(pdir, "vecs.npy"), v)
-            np.save(_os.path.join(pdir, "ids.npy"), ids.astype(np.int64))
-            out_rows.append({"part": spec["part"], "n": int(len(ids))})
-        return pa.Table.from_pylist(out_rows)
-
-    parts = (
-        rd.from_items(specs, override_num_blocks=len(specs))
-        .map_batches(build_one, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
+    parts = fan_out(build_one, specs)
     tmp = meta_path + ".tmp"
     with open(tmp, "w") as f:
         json.dump({"parts": sorted(p["part"] for p in parts)}, f)
-    import os
-
     os.replace(tmp, meta_path)
     return out
 

@@ -300,13 +300,13 @@ class _MergedFieldView(_ShardedTermLookup):
 class MergedReader(_ShardedTermLookup):
     """Virtual whole-index reader (doc_base=0, global docIDs)."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str, manifest: IndexManifest | None = None):
         merged_dir = os.path.join(index_dir, "merged")
         self.meta = load_json(os.path.join(merged_dir, MERGED_MANIFEST))
         self.doc_count = self.meta["doc_count"]
         self.doc_base = 0
         self.index_dir = index_dir
-        man = IndexManifest.load(index_dir)
+        man = manifest or IndexManifest.load(index_dir)
         segs = sorted(man.segments, key=lambda s: s["doc_base"])
         self._seg_dirs = [
             os.path.join(index_dir, "segments", s["seg_name"]) for s in segs
@@ -475,7 +475,7 @@ class MergedIndexSearcher(IndexSearcher):
     _seg_searcher: IndexSearcher | None = None
 
     def _open_readers(self, reuse: dict) -> list:
-        return [MergedReader(self.index_dir)]
+        return [MergedReader(self.index_dir, self.manifest)]
 
     @property
     def _merged(self) -> MergedReader:
@@ -483,7 +483,7 @@ class MergedIndexSearcher(IndexSearcher):
 
     def _seg(self) -> IndexSearcher:
         if self._seg_searcher is None:
-            self._seg_searcher = IndexSearcher(self.index_dir, self.bm25)
+            self._seg_searcher = IndexSearcher(self.index_dir, self.bm25, manifest=self.manifest)
         return self._seg_searcher
 
     def _route(self, query):
@@ -524,18 +524,20 @@ class MergedIndexSearcher(IndexSearcher):
         return self._seg().lookup_docs(global_doc_ids)
 
 
-def _merged_is_fresh(index_dir: str) -> bool:
-    """True iff a merged index exists AND was built from the CURRENT
-    manifest's segment set. An NRT append bumps the manifest generation
-    without touching merged/, so a stale fingerprint means the merged
-    artifact is missing appended docs and must not serve."""
-    from ..state.manifest import IndexManifest, load_json, segments_fingerprint
+def _merged_is_fresh(index_dir: str, manifest: IndexManifest) -> bool:
+    """True iff a merged index exists AND was built from ``manifest``'s
+    segment set. An NRT append bumps the manifest generation without
+    touching merged/, so a stale fingerprint means the merged artifact is
+    missing appended docs and must not serve. The caller opens its
+    searcher on the same manifest, so an append landing between this
+    check and the open cannot pair a newer segment set with the tier."""
+    from ..state.manifest import segments_fingerprint
 
     merged_path = os.path.join(index_dir, "merged", MERGED_MANIFEST)
     if not os.path.exists(merged_path):
         return False
     meta = load_json(merged_path)
-    return meta.get("fingerprint") == segments_fingerprint(IndexManifest.load(index_dir))
+    return meta.get("fingerprint") == segments_fingerprint(manifest)
 
 
 def open_searcher(index_dir: str, prefer_merged: bool = True,
@@ -545,10 +547,11 @@ def open_searcher(index_dir: str, prefer_merged: bool = True,
     after an NRT append the merged shards are stale and serving falls back
     to segments until the next merge. ``bm25`` is the pluggable
     Similarity (IndexSearcher.setSimilarity role, functions/bm25.py
-    get_similarity)."""
-    if prefer_merged and _merged_is_fresh(index_dir):
-        return MergedIndexSearcher(index_dir, bm25=bm25)
-    return IndexSearcher(index_dir, bm25=bm25)
+    get_similarity). Reads ``manifest.json`` once."""
+    manifest = IndexManifest.load(index_dir)
+    if prefer_merged and _merged_is_fresh(index_dir, manifest):
+        return MergedIndexSearcher(index_dir, bm25=bm25, manifest=manifest)
+    return IndexSearcher(index_dir, bm25=bm25, manifest=manifest)
 
 
 def open_if_changed(searcher: IndexSearcher) -> IndexSearcher | None:
@@ -559,18 +562,18 @@ def open_if_changed(searcher: IndexSearcher) -> IndexSearcher | None:
     The new searcher reuses the old one's SegmentReader objects for every
     segment dir that is still in the manifest, so a reopen after an append
     only cold-opens the appended segments. If a fresh merged index exists
-    for the new generation, the merged searcher is returned instead."""
-    from ..state.manifest import IndexManifest
-
+    for the new generation, the merged searcher is returned instead.
+    Reads ``manifest.json`` once."""
     current = IndexManifest.load(searcher.index_dir)
     old = searcher.manifest
     if current.version == old.version and [s["seg_name"] for s in current.segments] == [
         s["seg_name"] for s in old.segments
     ]:
         return None
-    if _merged_is_fresh(searcher.index_dir):
-        return MergedIndexSearcher(searcher.index_dir, searcher.bm25)
+    if _merged_is_fresh(searcher.index_dir, current):
+        return MergedIndexSearcher(searcher.index_dir, searcher.bm25, manifest=current)
     from ..state.segment import SegmentReader
 
     reuse = {r.seg_dir: r for r in searcher.readers if isinstance(r, SegmentReader)}
-    return IndexSearcher(searcher.index_dir, searcher.bm25, reuse_readers=reuse)
+    return IndexSearcher(searcher.index_dir, searcher.bm25, reuse_readers=reuse,
+                         manifest=current)

@@ -3,10 +3,14 @@
 Topology (SURVEY.md §7.2 stages 1-4):
 
   plan_partitions (driver, parquet FOOTERS only — no data read)
-    -> ray.data.from_items(partition specs)
-    -> map_batches(build-one-segment task)     # the DWPT-flush equivalent
-    -> tiny stats rows back to the driver
+    -> fanout.fan_out(build_one_segment, specs): ray.data.from_items, one
+       block per spec, map_batches(batch_size=1)  # the DWPT-flush equivalent
+    -> tiny stats rows back to the driver as plain dicts
     -> IndexManifest written last (the segments_N commit)
+
+  fan_out tells Ray Data each task's output is small, so every spec's
+  task starts in the first wave instead of one per 256 MiB of object
+  store (see stages/fanout.py).
 
 Design points for 100 TB scale:
 - Partitioning is by parquet row-group ranges with doc_base prefix-sums
@@ -35,6 +39,7 @@ from ..functions.analysis import get_analyzer
 from ..sources.pages import extract_text
 from ..state.manifest import IndexManifest, SegmentStats, segment_is_complete
 from ..state.segment import write_segment
+from .fanout import fan_out
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,6 @@ def build_index(
 
     Ray must already be initialised by the caller (driver contract).
     """
-    import ray.data as rd
-
     cfg = cfg or BuildConfig()
     segments_dir = os.path.join(index_dir, "segments")
     os.makedirs(segments_dir, exist_ok=True)
@@ -317,38 +320,14 @@ def _run_specs_distributed(
 ) -> list[dict]:
     """Run the partition specs as a Ray Data stage; returns stats rows
     sorted by doc_base. Shared by build_index and append_index."""
-    import ray.data as rd
-
-    def run_specs(batch: pa.Table) -> pa.Table:
-        import json as _json
-
-        out = []
-        for spec in batch.to_pylist():
-            st = build_one_segment(spec, cfg, segments_dir)
-            d = st.to_dict()
-            # nested per-field stats ride the stats row as JSON (a stable
-            # scalar column; Arrow struct inference breaks on empty dicts)
-            d["field_stats"] = _json.dumps(d.get("field_stats") or {})
-            out.append(d)
-        return pa.Table.from_pylist(out)
-
     kwargs = {}
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
     if cfg.cpus_per_task != 1:
         kwargs["num_cpus"] = cfg.cpus_per_task
-    # one block per partition spec — otherwise from_items packs specs into a
-    # handful of blocks and map_batches runs only that many concurrent tasks
-    stats_rows = (
-        rd.from_items(specs, override_num_blocks=len(specs))
-        .map_batches(run_specs, batch_size=1, batch_format="pyarrow", **kwargs)
-        .take_all()
+    stats_rows = fan_out(
+        lambda spec: build_one_segment(spec, cfg, segments_dir).to_dict(), specs, **kwargs
     )
-    import json as _json
-
-    for r in stats_rows:
-        if isinstance(r.get("field_stats"), str):
-            r["field_stats"] = _json.loads(r["field_stats"])
     stats_rows.sort(key=lambda r: r["doc_base"])
     return stats_rows
 

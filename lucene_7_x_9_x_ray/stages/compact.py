@@ -41,6 +41,7 @@ from ..state.segment import (
     SegmentReader,
     write_term_files,
 )
+from .fanout import fan_out
 
 
 @dataclass
@@ -295,28 +296,9 @@ def compact_index(
     ]
 
     if use_ray:
-        import ray.data as rd
-
-        def run(batch: pa.Table) -> pa.Table:
-            import json as _json
-
-            out = []
-            for row in batch.to_pylist():
-                d = merge_segment_group(index_dir, row["segs"], row["out_name"])
-                d["field_stats"] = _json.dumps(d.get("field_stats") or {})
-                out.append(d)
-            return pa.Table.from_pylist(out)
-
-        import json as _json
-
-        new_stats = (
-            rd.from_items(jobs, override_num_blocks=len(jobs))
-            .map_batches(run, batch_size=1, batch_format="pyarrow")
-            .take_all()
+        new_stats = fan_out(
+            lambda j: merge_segment_group(index_dir, j["segs"], j["out_name"]), jobs
         )
-        for r in new_stats:
-            if isinstance(r.get("field_stats"), str):
-                r["field_stats"] = _json.loads(r["field_stats"])
     else:
         new_stats = [
             merge_segment_group(index_dir, j["segs"], j["out_name"]) for j in jobs
@@ -485,7 +467,7 @@ def _retained_counts(index_dir: str, segs: list[dict], deleted: np.ndarray,
     """Per-segment count of tombstoned docs the retention query keeps —
     the pre-pass that fixes the renumbering prefix sums (one cheap Ray map
     over segments; no rewrite)."""
-    def count_one(seg_name: str) -> int:
+    def count_one(seg_name: str, deleted: np.ndarray, retention_query) -> int:
         from ..functions.bm25 import BM25
         from ..search.scorers import CollectionStats, eval_query
 
@@ -500,42 +482,18 @@ def _retained_counts(index_dir: str, segs: list[dict], deleted: np.ndarray,
         return int(len(np.intersect1d(local_del, matches)))
 
     if not use_ray:
-        return {s["seg_name"]: count_one(s["seg_name"]) for s in segs}
+        return {s["seg_name"]: count_one(s["seg_name"], deleted, retention_query) for s in segs}
     import ray
-    import ray.data as rd
 
     del_ref = ray.put(deleted)
     q_ref = ray.put(retention_query)
 
-    def run(batch: pa.Table) -> pa.Table:
-        import ray as _ray
+    def run(item: dict) -> dict:
+        n = count_one(item["seg_name"], ray.get(del_ref), ray.get(q_ref))
+        return {"seg_name": item["seg_name"], "n": n}
 
-        dels = _ray.get(del_ref)
-        rq = _ray.get(q_ref)
-        out = []
-        for row in batch.to_pylist():
-            from ..functions.bm25 import BM25
-            from ..search.scorers import CollectionStats, eval_query
-
-            r = SegmentReader(os.path.join(index_dir, "segments", row["seg_name"]))
-            lo, hi = r.doc_base, r.doc_base + r.doc_count
-            local_del = dels[(dels >= lo) & (dels < hi)] - r.doc_base
-            n = 0
-            if len(local_del):
-                matches, _ = eval_query(
-                    r, rq, CollectionStats(r.doc_count, 1, {}, {}), BM25()
-                )
-                n = int(len(np.intersect1d(local_del, matches)))
-            out.append({"seg_name": row["seg_name"], "n": n})
-        return pa.Table.from_pylist(out)
-
-    rows = (
-        rd.from_items([{"seg_name": s["seg_name"]} for s in segs],
-                      override_num_blocks=len(segs))
-        .map_batches(run, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
-    return {r["seg_name"]: int(r["n"]) for r in rows}
+    rows = fan_out(run, [{"seg_name": s["seg_name"]} for s in segs])
+    return {r["seg_name"]: r["n"] for r in rows}
 
 
 def reclaim_deletes(
@@ -604,40 +562,17 @@ def reclaim_deletes(
 
     if use_ray:
         import ray
-        import ray.data as rd
 
         del_ref = ray.put(deleted)
-
         rq_ref = ray.put(retention_query)
 
-        def run(batch: pa.Table) -> pa.Table:
-            import json as _json
+        def run(job: dict) -> dict:
+            return reclaim_segment(
+                index_dir, job["seg_name"], job["new_name"], job["new_doc_base"],
+                ray.get(del_ref), retention_query=ray.get(rq_ref),
+            )
 
-            dels = ray.get(del_ref)
-            rq = ray.get(rq_ref)
-            out = []
-            for row in batch.to_pylist():
-                d = reclaim_segment(
-                    index_dir, row["seg_name"], row["new_name"],
-                    row["new_doc_base"], dels, retention_query=rq,
-                )
-                d["field_stats"] = _json.dumps(d.get("field_stats") or {})
-                d["retained"] = _json.dumps(d.get("retained") or [])
-                out.append(d)
-            return pa.Table.from_pylist(out)
-
-        import json as _json
-
-        new_stats = (
-            rd.from_items(jobs, override_num_blocks=len(jobs))
-            .map_batches(run, batch_size=1, batch_format="pyarrow")
-            .take_all()
-        )
-        for r in new_stats:
-            if isinstance(r.get("field_stats"), str):
-                r["field_stats"] = _json.loads(r["field_stats"])
-            if isinstance(r.get("retained"), str):
-                r["retained"] = _json.loads(r["retained"])
+        new_stats = fan_out(run, jobs)
     else:
         new_stats = [
             reclaim_segment(index_dir, j["seg_name"], j["new_name"],

@@ -56,6 +56,7 @@ from ..state.segment import (
     mmap_file,
     write_term_files,
 )
+from .fanout import cluster_cpus, fan_out
 
 MERGED_MANIFEST = "merged.json"
 # pull-merge Ray tasks (blocks of specs) per CPU; merge_index_pull says why
@@ -167,54 +168,35 @@ def plan_merge_sampled(
     RangePartitioner-style approximation; balance error is bounded by the
     per-segment sample spacing and hot terms are salted separately anyway.
     Driver state: O(n_segments * samples + |candidates|)."""
-    import ray
-    import ray.data as rd
-
     seg_dirs = manifest.segment_dirs()
     n_segs = len(seg_dirs)
     local_thr = max(1, cfg.hot_df_threshold // max(1, n_segs))
 
-    def sample_one(batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            t = pq.read_table(
-                os.path.join(row["seg_dir"], prefix + TERMS_FILE),
-                columns=["term", "doc_freq"],
-            )
-            terms = np.asarray(t["term"].to_numpy(zero_copy_only=False), dtype=object)
-            dfs = t["doc_freq"].to_numpy()
-            if len(terms) == 0:
-                continue
+    def sample_one(item: dict) -> dict:
+        t = pq.read_table(
+            os.path.join(item["seg_dir"], prefix + TERMS_FILE),
+            columns=["term", "doc_freq"],
+        )
+        terms = np.asarray(t["term"].to_numpy(zero_copy_only=False), dtype=object)
+        dfs = t["doc_freq"].to_numpy()
+        samples: list[tuple[str, int]] = []
+        if len(terms):
             cum = np.cumsum(dfs)
             k = min(samples_per_segment, len(terms))
             targets = cum[-1] * (np.arange(1, k + 1) / k)
             cuts = np.unique(np.minimum(np.searchsorted(cum, targets), len(terms) - 1))
             prev = 0
             for c in cuts:
-                out.append(
-                    {"kind": "s", "term": str(terms[c]), "w": int(cum[c] - prev)}
-                )
+                samples.append((str(terms[c]), int(cum[c] - prev)))
                 prev = int(cum[c])
-            for i in np.flatnonzero(dfs >= local_thr):
-                out.append({"kind": "h", "term": str(terms[i]), "w": int(dfs[i])})
-        if not out:
-            return pa.table(
-                {"kind": pa.array([], pa.string()), "term": pa.array([], pa.string()),
-                 "w": pa.array([], pa.int64())}
-            )
-        return pa.Table.from_pylist(out)
+        heavy = [(str(terms[i]), int(dfs[i])) for i in np.flatnonzero(dfs >= local_thr)]
+        return {"samples": samples, "heavy": heavy}
 
-    rows = (
-        rd.from_items(
-            [{"seg_dir": d} for d in seg_dirs],
-            override_num_blocks=max(1, n_segs // 8),
-        )
-        .map_batches(sample_one, batch_size=8, batch_format="pyarrow")
-        .take_all()
+    rows = fan_out(
+        sample_one, [{"seg_dir": d} for d in seg_dirs],
+        n_blocks=max(1, n_segs // 8), batch_size=8,
     )
-    samples = sorted(
-        ((r["term"], r["w"]) for r in rows if r["kind"] == "s"), key=lambda x: x[0]
-    )
+    samples = sorted((s_ for r in rows for s_ in r["samples"]), key=lambda x: x[0])
     # conservative hot detection from the single pass: a term's unobserved
     # per-segment dfs are each < local_thr, so observed_sum + (n_segs -
     # n_observed) * (local_thr - 1) bounds its global df from above. Any
@@ -224,9 +206,9 @@ def plan_merge_sampled(
     obs_sum: dict[str, int] = {}
     obs_n: dict[str, int] = {}
     for r in rows:
-        if r["kind"] == "h":
-            obs_sum[r["term"]] = obs_sum.get(r["term"], 0) + int(r["w"])
-            obs_n[r["term"]] = obs_n.get(r["term"], 0) + 1
+        for term, w in r["heavy"]:
+            obs_sum[term] = obs_sum.get(term, 0) + w
+            obs_n[term] = obs_n.get(term, 0) + 1
     hot_terms = sorted(
         t
         for t, s_ in obs_sum.items()
@@ -494,8 +476,6 @@ def merge_index_pull(
     union vocabulary cannot live on the driver. "sampled"/"exact" force a
     plan.
     """
-    import ray.data as rd
-
     cfg = cfg or MergeConfig()
     manifest = IndexManifest.load(index_dir)
     merged_dir = os.path.join(index_dir, "merged")
@@ -539,30 +519,24 @@ def merge_index_pull(
                     }
                 )
 
-        def run_spec(batch: pa.Table) -> pa.Table:
-            out = []
-            for spec in batch.to_pylist():
-                if spec["kind"] == "range":
-                    group = assemble_range_group(
-                        seg_dirs, doc_bases, spec["lo"], spec["hi"], hot_set,
-                        spec["shard_id"], prefix=prefix,
-                    )
-                else:
-                    group = assemble_hot_group(
-                        seg_dirs, doc_bases, list(range(n_segs)), n_segs,
-                        spec["term"], spec["bucket"], cfg, spec["shard_id"],
-                        prefix=prefix,
-                    )
-                if group.num_rows == 0:
-                    continue
-                out.append(write_merged_shard(
-                    group, out_dir, fp, shard_id=spec["shard_id"],
-                    postings_format=manifest.postings_format, prefix=prefix,
-                ))
-            return pa.Table.from_pylist(out) if out else pa.Table.from_pylist(
-                [{"shard_id": -1, "shard_name": "", "n_terms": 0, "sum_doc_freq": 0,
-                  "fingerprint": fp, "resumed": False}]
-            ).slice(0, 0)
+        def run_spec(spec: dict) -> dict | None:
+            if spec["kind"] == "range":
+                group = assemble_range_group(
+                    seg_dirs, doc_bases, spec["lo"], spec["hi"], hot_set,
+                    spec["shard_id"], prefix=prefix,
+                )
+            else:
+                group = assemble_hot_group(
+                    seg_dirs, doc_bases, list(range(n_segs)), n_segs,
+                    spec["term"], spec["bucket"], cfg, spec["shard_id"],
+                    prefix=prefix,
+                )
+            if group.num_rows == 0:
+                return None
+            return write_merged_shard(
+                group, out_dir, fp, shard_id=spec["shard_id"],
+                postings_format=manifest.postings_format, prefix=prefix,
+            )
 
         # one Ray task per BLOCK of specs, MERGE_BLOCKS_PER_CPU (2) blocks
         # per CPU: at toy scale a block per spec means hundreds of ~50 ms
@@ -570,20 +544,10 @@ def merge_index_pull(
         # is minutes of work and the min() leaves one spec per block. Specs
         # are interleaved range/hot round-robin so a block doesn't
         # accumulate one term's hottest buckets (skew guard).
-        try:
-            import ray as _ray
-
-            cpus = int(_ray.cluster_resources().get("CPU", 32))
-        except Exception:
-            cpus = 32
-        n_blocks = max(1, min(len(specs), cpus * MERGE_BLOCKS_PER_CPU))
+        n_blocks = max(1, min(len(specs), cluster_cpus() * MERGE_BLOCKS_PER_CPU))
         interleaved = [specs[i::n_blocks] for i in range(n_blocks)]
         flat = [s for group in interleaved for s in group]
-        shard_stats = (
-            rd.from_items(flat, override_num_blocks=n_blocks)
-            .map_batches(run_spec, batch_size=None, batch_format="pyarrow")
-            .take_all()
-        )
+        shard_stats = fan_out(run_spec, flat, n_blocks=n_blocks, batch_size=None)
         return hot_terms, bnds, shard_stats
 
     hot_terms, bnds, shard_stats = merge_one_field("", merged_dir)

@@ -150,20 +150,14 @@ def check_index(index_dir: str, sample_every: int = 1) -> dict:
                f"manifest field_stats[{fname}].doc_count != Σ segments")
 
     merged_stats = None
-    merged_path = os.path.join(index_dir, "merged", "merged.json")
-    if os.path.exists(merged_path):
-        # a merged artifact from an OLDER generation (NRT append landed
-        # since the merge) is legitimately stale: readers won't serve it
-        # (open_searcher checks the same fingerprint), so don't cross-check
-        # it against segments it has never seen
-        from .manifest import load_json as _lj, segments_fingerprint
+    from ..search.merged import MergedReader, _merged_is_fresh
 
-        if _lj(merged_path).get("fingerprint") != segments_fingerprint(manifest):
-            merged_path = None
-    if merged_path and os.path.exists(merged_path):
-        from ..search.merged import MergedReader
-
-        mr = MergedReader(index_dir)
+    # a merged artifact from an OLDER generation (NRT append landed since
+    # the merge) is legitimately stale: readers won't serve it (open_searcher
+    # runs the same check), so don't cross-check it against segments it has
+    # never seen
+    if _merged_is_fresh(index_dir, manifest):
+        mr = MergedReader(index_dir, manifest)
         _check(len(mr.norms) == manifest.doc_count, "merged norms length")
         merged_terms = mr.terms
         _check(set(map(str, merged_terms)) == set(map(str, seg_term_stats)),

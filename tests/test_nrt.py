@@ -241,3 +241,48 @@ def test_moved_index_reopens_with_identical_results(ray_session, tmp_path):
     assert isinstance(merged, MergedIndexSearcher)
     assert (top_k(IndexSearcher(moved)), top_k(merged)) == want
     check_index(moved)
+
+
+def test_open_and_reopen_load_the_manifest_once(ray_session, tmp_path, monkeypatch):
+    """open_searcher and open_if_changed each read manifest.json once and
+    open the searcher on that same manifest, so an append landing between
+    the merged-tier freshness check and the open cannot pair the tier with
+    a newer segment set."""
+    from lucene_7_x_9_x_ray.state.manifest import IndexManifest
+
+    p1, p2 = _two_files(tmp_path)
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(target_docs_per_segment=100)
+    build_index([p1], idx, cfg)
+    merge_index(idx, MergeConfig(n_shards=4))
+
+    loads = []
+    real_load = IndexManifest.load.__func__
+
+    def counting_load(cls, index_dir):
+        loads.append(index_dir)
+        return real_load(cls, index_dir)
+
+    monkeypatch.setattr(IndexManifest, "load", classmethod(counting_load))
+
+    def n_loads(fn, *args):
+        loads.clear()
+        out = fn(*args)
+        return out, len(loads)
+
+    s, n = n_loads(open_searcher, idx)
+    assert isinstance(s, MergedIndexSearcher) and n == 1
+    assert s.readers[0].doc_count == s.manifest.doc_count
+    assert n_loads(open_if_changed, s) == (None, 1)
+
+    append_index([p2], idx, cfg)  # the merged tier is now stale
+    s2, n = n_loads(open_if_changed, s)
+    assert type(s2) is IndexSearcher and n == 1
+    assert s2.manifest.doc_count == 500
+
+    merge_index(idx, MergeConfig(n_shards=4))
+    s3, n = n_loads(open_searcher, idx)
+    assert isinstance(s3, MergedIndexSearcher) and n == 1
+    loads.clear()
+    _assert_same_results(s3, s3._seg())  # the lazy per-segment searcher too
+    assert loads == []
