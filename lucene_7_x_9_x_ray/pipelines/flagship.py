@@ -100,15 +100,13 @@ def _variant_cache_dir(sf_dir: str, variant: str) -> str:
     return _cache_dir(sf_dir) + f"_{variant}"
 
 
-def build_flagship_index(
-    sf_dir: str, use_ray: bool = True, postings_format: str = "for"
-) -> str:
+def build_flagship_index(sf_dir: str, postings_format: str = "for") -> str:
     """documents.parquet -> page-shaped parquet -> segments -> merged index.
 
     Returns the index dir. Exercises the full north-rule chain: html
     wrapping + byte-identical extraction verification (verify_extract),
-    multi-partition build with lineage docIDs, and the salted term-shuffle
-    merge. ``postings_format`` selects the codec-SPI postings format
+    multi-partition build with lineage docIDs, and the salted term-range
+    pull merge. ``postings_format`` selects the codec-SPI postings format
     ("pfor" builds the patched-FOR variant index in its own cache dir;
     results must be identical — the encoding never touches scores).
     """
@@ -154,20 +152,8 @@ def build_flagship_index(
     # target=1e9 keeps one row-group range per partition spec; the row-group
     # size above is what actually fixes the segment count.
     cfg.target_docs_per_segment = max(128, _pages_rows(pages_path) // 8)
-    if use_ray:
-        build_index([pages_path], index_dir, cfg)
-    else:
-        from ..stages.build import build_index_local
-
-        build_index_local([pages_path], index_dir, cfg)
-
-    mcfg = MergeConfig(n_shards=8, hot_df_threshold=10**9)
-    if use_ray:
-        merge_index(index_dir, mcfg)
-    else:
-        from ..stages.merge import merge_index_local
-
-        merge_index_local(index_dir, mcfg)
+    build_index([pages_path], index_dir, cfg)
+    merge_index(index_dir, MergeConfig(n_shards=8, hot_df_threshold=10**9))
     return index_dir
 
 

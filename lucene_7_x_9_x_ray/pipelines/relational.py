@@ -224,7 +224,8 @@ def detect_hot_keys(ds, threshold: int, per_block_min: int = 8,
     driver sums the partials, and a key whose summed count >= threshold
     is hot. A key below per_block_min in every block is missed, but its
     true count is then < n_blocks * per_block_min — not a heavy hitter.
-    Same detect-then-salt shape as stages/merge.py compute_hot_terms."""
+    Same detect-then-salt shape as stages/merge.py plan_merge_sampled's
+    locally heavy terms."""
 
     def block_counts(batch: pa.Table) -> pa.Table:
         k = batch[key_col].to_numpy()

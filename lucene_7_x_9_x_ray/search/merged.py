@@ -20,7 +20,7 @@ import numpy as np
 
 from ..state.manifest import IndexManifest, load_json
 from ..state.segment import NORMS_FILE, TermPostings, TermTableReader
-from ..stages.merge import MERGED_MANIFEST, shard_of
+from ..stages.merge import MERGED_MANIFEST
 from .searcher import IndexSearcher
 
 
@@ -123,16 +123,13 @@ class _ShardedTermLookup:
         self._shards: dict[int, _Shard] = {}
         self._shard_infos = shard_infos
         self._have = {s["shard_id"] for s in shard_infos}
-        # range-merged index: shard i covers [boundaries[i], boundaries[i+1])
-        self._boundaries = (
-            np.asarray(boundaries, dtype=object) if boundaries else None
-        )
-
+        # shard i covers [boundaries[i], boundaries[i+1]); no boundaries =
+        # every term is hot
+        self._boundaries = np.asarray(boundaries or [], dtype=object)
 
     def _cold_shard_id(self, term: str) -> int:
-        if self._boundaries is not None:
-            return max(0, int(np.searchsorted(self._boundaries, term, side="right")) - 1)
-        return shard_of(term, self.n_shards)
+        """Range shard of a non-hot term (-1, no shard, if there are none)."""
+        return int(np.searchsorted(self._boundaries, term, side="right")) - 1
 
     def _shard(self, sid: int) -> _Shard | None:
         if sid not in self._have:
@@ -241,10 +238,7 @@ class _ShardedTermLookup:
         )
 
     def _any_shard_flag(self, attr: str) -> bool:
-        """True iff ANY loadable shard carries the capability. An EMPTY
-        merge group writes its shard from _empty_frag_table, which has no
-        pos/pay columns — probing only the first shard would spuriously
-        report a positions/payloads index as lacking them."""
+        """True iff ANY loadable shard carries the capability."""
         for s in self._shard_infos:
             sh = self._shard(s["shard_id"])
             if sh is not None and bool(getattr(sh, attr, False)):
@@ -525,19 +519,25 @@ class MergedIndexSearcher(IndexSearcher):
 
 
 def _merged_is_fresh(index_dir: str, manifest: IndexManifest) -> bool:
-    """True iff a merged index exists AND was built from ``manifest``'s
-    segment set. An NRT append bumps the manifest generation without
-    touching merged/, so a stale fingerprint means the merged artifact is
-    missing appended docs and must not serve. The caller opens its
-    searcher on the same manifest, so an append landing between this
-    check and the open cannot pair a newer segment set with the tier."""
+    """True iff a merged index exists, was built from ``manifest``'s
+    segment set, and is range-partitioned. An NRT append bumps the
+    manifest generation without touching merged/, so a stale fingerprint
+    means the merged artifact is missing appended docs and must not serve.
+    A tier of any other strategy (the hash-sharded "hash" tiers of older
+    merges) would route terms to the wrong shards, so it serves
+    per-segment until the next merge. The caller opens its searcher on
+    the same manifest, so an append landing between this check and the
+    open cannot pair a newer segment set with the tier."""
     from ..state.manifest import segments_fingerprint
 
     merged_path = os.path.join(index_dir, "merged", MERGED_MANIFEST)
     if not os.path.exists(merged_path):
         return False
     meta = load_json(merged_path)
-    return meta.get("fingerprint") == segments_fingerprint(manifest)
+    return (
+        meta.get("strategy") == "range"
+        and meta.get("fingerprint") == segments_fingerprint(manifest)
+    )
 
 
 def open_searcher(index_dir: str, prefer_merged: bool = True,

@@ -289,14 +289,27 @@ def build_index(
 
     Ray must already be initialised by the caller (driver contract).
     """
-    cfg = cfg or BuildConfig()
+    return _build(input_paths, index_dir, cfg or BuildConfig(), concurrency, use_ray=True)
+
+
+def build_index_local(
+    input_paths: list[str], index_dir: str, cfg: BuildConfig | None = None
+) -> IndexManifest:
+    """build_index in this process, no Ray session (tests / tiny corpora):
+    the same plan and artifacts."""
+    return _build(input_paths, index_dir, cfg or BuildConfig(), None, use_ray=False)
+
+
+def _build(input_paths: list[str], index_dir: str, cfg: BuildConfig,
+           concurrency: int | None, use_ray: bool) -> IndexManifest:
+    """Plan the partitions, build their segments, commit the manifest."""
     segments_dir = os.path.join(index_dir, "segments")
     os.makedirs(segments_dir, exist_ok=True)
     specs = plan_partitions(input_paths, cfg)
     if not specs:
         raise ValueError(f"no input rows found in {input_paths}")
 
-    stats_rows = _run_specs_distributed(specs, cfg, segments_dir, concurrency)
+    stats_rows = _run_specs(specs, cfg, segments_dir, concurrency, use_ray)
 
     manifest = IndexManifest(
         index_dir=index_dir,
@@ -315,18 +328,21 @@ def build_index(
     return manifest
 
 
-def _run_specs_distributed(
-    specs: list[dict], cfg: BuildConfig, segments_dir: str, concurrency: int | None
+def _run_specs(
+    specs: list[dict], cfg: BuildConfig, segments_dir: str, concurrency: int | None,
+    use_ray: bool = True,
 ) -> list[dict]:
-    """Run the partition specs as a Ray Data stage; returns stats rows
-    sorted by doc_base. Shared by build_index and append_index."""
+    """Run the partition specs as a Ray Data stage (or in this process);
+    returns stats rows sorted by doc_base. Shared by the builds and
+    append_index."""
     kwargs = {}
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
     if cfg.cpus_per_task != 1:
         kwargs["num_cpus"] = cfg.cpus_per_task
     stats_rows = fan_out(
-        lambda spec: build_one_segment(spec, cfg, segments_dir).to_dict(), specs, **kwargs
+        lambda spec: build_one_segment(spec, cfg, segments_dir).to_dict(), specs,
+        use_ray=use_ray, **kwargs,
     )
     stats_rows.sort(key=lambda r: r["doc_base"])
     return stats_rows
@@ -391,39 +407,12 @@ def append_index(
         sp["seg_name"] = manifest.new_segment_name()
         sp["doc_base"] += manifest.doc_count
 
-    new_rows = _run_specs_distributed(specs, cfg, segments_dir, concurrency)
+    new_rows = _run_specs(specs, cfg, segments_dir, concurrency)
     manifest.segments = manifest.segments + new_rows
     manifest.doc_count += sum(r["doc_count"] for r in new_rows)
     manifest.sum_total_term_freq += sum(r["sum_total_term_freq"] for r in new_rows)
     manifest.field_stats = _aggregate_field_stats(manifest.segments)
     manifest.version += 1  # the generation bump readers poll for
-    manifest.save()
-    return manifest
-
-
-def build_index_local(
-    input_paths: list[str], index_dir: str, cfg: BuildConfig | None = None
-) -> IndexManifest:
-    """Single-process build (tests / tiny corpora): same plan + artifacts,
-    no Ray session required."""
-    cfg = cfg or BuildConfig()
-    segments_dir = os.path.join(index_dir, "segments")
-    os.makedirs(segments_dir, exist_ok=True)
-    specs = plan_partitions(input_paths, cfg)
-    stats_rows = [build_one_segment(s, cfg, segments_dir).to_dict() for s in specs]
-    manifest = IndexManifest(
-        index_dir=index_dir,
-        analyzer=cfg.analyzer,
-        field=cfg.text_col,
-        doc_count=sum(r["doc_count"] for r in stats_rows),
-        sum_total_term_freq=sum(r["sum_total_term_freq"] for r in stats_rows),
-        segments=stats_rows,
-        sort_by=cfg.sort_by or "",
-        field_stats=_aggregate_field_stats(stats_rows),
-        postings_format=cfg.postings_format,
-        payload_delimiter=cfg.payload_delimiter or "",
-        index_options=_index_options(cfg),
-    )
     manifest.save()
     return manifest
 

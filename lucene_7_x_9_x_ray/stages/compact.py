@@ -41,6 +41,7 @@ from ..state.segment import (
     SegmentReader,
     write_term_files,
 )
+from .build import _aggregate_field_stats
 from .fanout import fan_out
 
 
@@ -295,14 +296,10 @@ def compact_index(
         {"segs": g, "out_name": manifest.new_segment_name(f"_c{len(g)}")} for g in groups
     ]
 
-    if use_ray:
-        new_stats = fan_out(
-            lambda j: merge_segment_group(index_dir, j["segs"], j["out_name"]), jobs
-        )
-    else:
-        new_stats = [
-            merge_segment_group(index_dir, j["segs"], j["out_name"]) for j in jobs
-        ]
+    new_stats = fan_out(
+        lambda j: merge_segment_group(index_dir, j["segs"], j["out_name"]), jobs,
+        use_ray=use_ray,
+    )
 
     merged_names = {n for g in groups for n in g}
     kept = [s for s in manifest.segments if s["seg_name"] not in merged_names]
@@ -596,13 +593,7 @@ def reclaim_deletes(
     manifest.segments = new_stats
     manifest.doc_count = sum(s["doc_count"] for s in new_stats)
     manifest.sum_total_term_freq = sum(s["sum_total_term_freq"] for s in new_stats)
-    agg: dict[str, dict] = {}
-    for s in new_stats:
-        for fname, fs in (s.get("field_stats") or {}).items():
-            a = agg.setdefault(fname, {"sum_total_term_freq": 0, "doc_count": 0})
-            a["sum_total_term_freq"] += int(fs["sum_total_term_freq"])
-            a["doc_count"] += int(fs["doc_count"])
-    manifest.field_stats = agg
+    manifest.field_stats = _aggregate_field_stats(new_stats)
     manifest.merged = False
     manifest.save()
     # only after the manifest commit: drop the previous tombstone

@@ -1,17 +1,20 @@
-"""One Ray Data fan-out for the index stages whose tasks write their real
-output to disk and return a small stats row: segment build and append,
-the pull merge and its sampled plan, tiered compaction, reclaim (and its
-retention pre-count), and the ANN partition build.
+"""One executor for the index stages whose tasks write their real output
+to disk and return a small stats row: segment build and append, the pull
+merge and its sampled plan, tiered compaction, reclaim (and its retention
+pre-count), and the ANN partition build.
 
 ``fan_out(fn, items)`` runs ``fn`` once per item inside
 ``ray.data.from_items(items).map_batches(...)`` and returns the rows the
 tasks produced as plain Python dicts, nested values included (each row
 rides the Arrow block pickled, so per-field stats dicts, lists and empty
-dicts need no JSON round trip and no schema inference).
+dicts need no JSON round trip and no schema inference). With
+``use_ray=False`` the same ``fn`` runs over the items in this process, so
+a stage's no-Ray entry point (``build_index_local``, ``merge_index_local``,
+``compact_index(use_ray=False)``) runs the same plan as its Ray one.
 
-Data-plane datasets (sized reads, the groupby merge's emit, ANN
-partition search) do not belong here: their blocks are real data, and the
-block-size hint below would also split them.
+Data-plane datasets (sized reads, ANN partition search) do not belong
+here: their blocks are real data, and the block-size hint below would
+also split them.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ def fan_out(
     items: list[dict],
     n_blocks: int | None = None,
     batch_size: int | None = 1,
+    use_ray: bool = True,
     **map_kwargs,
 ) -> list[dict]:
     """Run ``fn(item)`` for every item as a Ray Data stage; returns the
@@ -57,7 +61,11 @@ def fan_out(
 
     ``n_blocks`` (default: one per item) and ``batch_size`` shape the
     tasks as in ``from_items`` / ``map_batches``; ``map_kwargs`` (e.g.
-    ``concurrency``, ``num_cpus``) go to ``map_batches``."""
+    ``concurrency``, ``num_cpus``) go to ``map_batches``. ``use_ray=False``
+    runs ``fn`` over ``items`` in order, in this process, and ignores the
+    task-shaping arguments."""
+    if not use_ray:
+        return [r for r in map(fn, items) if r is not None]
     import ray.data as rd
 
     if not items:

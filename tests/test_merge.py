@@ -1,4 +1,5 @@
-"""Merge stage: term-shuffle + salting correctness, resume, Ray==local.
+"""Merge stage: term-range pull merge + salting correctness, resume,
+Ray == in-process.
 
 The key assertion: searching the MERGED index returns bit-identical
 (docID, score) results to searching the segment set — the merge preserves
@@ -16,8 +17,9 @@ from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
 from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index_local
 from lucene_7_x_9_x_ray.stages.merge import (
     MergeConfig,
-    compute_hot_terms_local,
+    collect_term_stats,
     merge_index_local,
+    plan_merge_ranges,
 )
 from lucene_7_x_9_x_ray.state.manifest import IndexManifest
 
@@ -43,7 +45,7 @@ def merged(built):
 
 
 def test_hot_terms_detected(built):
-    hot = compute_hot_terms_local(IndexManifest.load(built), MCFG)
+    hot, _ = plan_merge_ranges(*collect_term_stats(IndexManifest.load(built)), MCFG)
     assert "t00000" in hot  # Zipf head appears in >60% of docs
     assert len(hot) < 20
 
@@ -116,64 +118,113 @@ def test_open_searcher_factory(merged, tmp_path):
     assert isinstance(s, IndexSearcher) and not isinstance(s, MergedIndexSearcher)
 
 
-def test_ray_merge_matches_local(built, tmp_path, ray_session):
-    """Distributed merge artifacts == single-process merge artifacts."""
+def _tree_bytes(root: str) -> dict:
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_ray_merge_matches_local(tmp_path, ray_session):
+    """merge_index (Ray tasks) and merge_index_local (in this process) run
+    one plan and write byte-identical merged/ trees: positions, payloads,
+    salted hot terms and an extra field's shards included."""
     import shutil
 
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_7_x_9_x_ray.stages.build import FieldSpec
     from lucene_7_x_9_x_ray.stages.merge import merge_index
 
-    # copy the built index (segments only) to merge it independently
-    idx2 = str(tmp_path / "idx2")
-    shutil.copytree(built, idx2, ignore=shutil.ignore_patterns("merged"))
-    man = IndexManifest.load(idx2)
-    man.index_dir = idx2
-    man.merged = False
-    man.save()
-    merge_index(idx2, MCFG)
+    pages = generate_pages(600, seed=23, vocab_size=120, mean_tokens=30, dup_url_frac=0)
+    # every other token carries a float payload ("term|0.75")
+    docs = [
+        " ".join(f"{w}|{(i % 8) * 0.25}" if i % 2 else w for i, w in enumerate(text.split()))
+        for text in pages["text"].to_pylist()
+    ]
+    pages = pages.set_column(pages.schema.get_field_index("text"), "text", pa.array(docs))
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, path, row_group_size=100)
+    built = str(tmp_path / "built")
+    build_index_local([path], built, BuildConfig(
+        analyzer="whitespace", payload_delimiter="|", target_docs_per_segment=100,
+        extra_fields=(FieldSpec("title", "title", index_positions=True),),
+    ))
+    idx_ray, idx_local = str(tmp_path / "ray"), str(tmp_path / "local")
+    shutil.copytree(built, idx_ray)
+    shutil.copytree(built, idx_local)
+    cfg = MergeConfig(n_shards=4, hot_df_threshold=200, hot_buckets=3)
+    merged = merge_index(idx_ray, cfg)
+    assert merge_index_local(idx_local, cfg) == merged
+    assert merged["strategy"] == "range" and merged["hot_terms"]
+    assert merged["fields"]["title"]["shards"]
 
-    a = MergedIndexSearcher(built)
-    b = MergedIndexSearcher(idx2)
-    for qt in ["t00000", "t00000 t00123", "t00399"]:
-        assert a.search(qt, k=20).to_lists() == b.search(qt, k=20).to_lists()
+    a = _tree_bytes(os.path.join(idx_ray, "merged"))
+    b = _tree_bytes(os.path.join(idx_local, "merged"))
+    assert sorted(a) == sorted(b)
+    assert any(k.startswith("f_title") for k in a)
+    assert any(k.endswith("payloads.bin") for k in a)
+    assert any(k.endswith("positions.bin") for k in a)
+    assert [k for k in a if a[k] != b[k]] == []
 
 
-def test_groupby_strategy_carries_positions_and_duels(ray_session, tmp_path):
-    """strategy='groupby' produces a merged index equivalent to the pull
-    strategy: same phrase results, WAND duel rank-identical."""
-    import numpy as np
-
-    from lucene_7_x_9_x_ray.search import queries as Q
-    from lucene_7_x_9_x_ray.search.merged import open_searcher
-    from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
-    from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
-    from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index
-
+def test_local_pull_merge_carries_positions_and_duels(tmp_path):
+    """The in-process pull merge with salted hot terms serves phrase
+    queries exactly as the per-segment searcher does, and WAND over the
+    hot-term fragments is rank-identical to exhaustive."""
     pages = generate_pages(500, vocab_size=60, mean_tokens=25, seed=77)
     path = str(tmp_path / "pages.parquet")
     write_pages_parquet(pages, path, rows_per_row_group=100)
-    cfgs = {}
-    for strat in ("pull", "groupby"):
-        idx = str(tmp_path / f"idx_{strat}")
-        build_index([path], idx, BuildConfig(target_docs_per_segment=100))
-        merge_index(idx, MergeConfig(n_shards=4, hot_df_threshold=60, hot_buckets=2),
-                    strategy=strat)
-        cfgs[strat] = open_searcher(idx)
+    idx = str(tmp_path / "idx")
+    build_index_local([path], idx, BuildConfig(target_docs_per_segment=100))
+    meta = merge_index_local(idx, MergeConfig(n_shards=4, hot_df_threshold=60, hot_buckets=2))
+    assert {"t00000", "t00001", "t00005"} <= set(meta["hot_terms"])
+    mrg, seg = open_searcher(idx), IndexSearcher(idx)
+    assert isinstance(mrg, MergedIndexSearcher)
 
     probes = [
         Q.PhraseQuery(terms=("t00000", "t00001")),
         Q.BooleanQuery.build([(Q.SHOULD, Q.TermQuery("t00000")), (Q.SHOULD, Q.TermQuery("t00020"))]),
     ]
     for q in probes:
-        a = cfgs["pull"].search(q, k=25, total_hits_threshold=1 << 30)
-        b = cfgs["groupby"].search(q, k=25, total_hits_threshold=1 << 30)
+        a = seg.search(q, k=25, total_hits_threshold=1 << 30)
+        b = mrg.search(q, k=25, total_hits_threshold=1 << 30)
         assert list(a.doc_ids) == list(b.doc_ids)
         assert np.array_equal(a.scores, b.scores)
-    # WAND over the groupby-merged index (fragment expansion path)
+    # WAND over the salted tier (one clause per hot-term fragment)
     q = Q.BooleanQuery.build([(Q.SHOULD, Q.TermQuery("t00000")), (Q.SHOULD, Q.TermQuery("t00005"))])
-    w = cfgs["groupby"].search(q, k=10, mode="wand")
-    e = cfgs["groupby"].search(q, k=10, mode="exhaustive")
+    w = mrg.search(q, k=10, mode="wand")
+    e = mrg.search(q, k=10, mode="exhaustive")
     assert list(w.doc_ids) == list(e.doc_ids)
     assert np.array_equal(w.scores, e.scores)
+
+
+def test_hash_tier_serves_per_segment(merged, tmp_path):
+    """A merged.json of any strategy but "range" (the hash-sharded tiers
+    older merges wrote) is never served: open_searcher falls back to the
+    per-segment searcher and CheckIndex skips the tier, until a re-merge."""
+    import json
+    import shutil
+
+    from lucene_7_x_9_x_ray.state.checkindex import check_index
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(merged, idx)
+    path = os.path.join(idx, "merged", "merged.json")
+    with open(path) as f:
+        meta = json.load(f)
+    meta["strategy"] = "hash"
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    s = open_searcher(idx)
+    assert type(s) is IndexSearcher
+    assert check_index(idx)["merged"] is None
+    merge_index_local(idx, MCFG)
+    assert isinstance(open_searcher(idx), MergedIndexSearcher)
 
 
 def test_sampled_boundaries_match_exact_results(ray_session, tmp_path):

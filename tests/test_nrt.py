@@ -63,7 +63,7 @@ def test_append_openifchanged_matches_fresh_union(ray_session, tmp_path):
     assert open_if_changed(s1) is None  # nothing changed yet
 
     m = append_index([p2], idx, cfg)
-    assert m.doc_count == 500 and m.version == 2
+    assert m.doc_count == 500 and m.version == 3  # build 1, merge 2, append 3
 
     # stale merged artifact must NOT serve the old doc space
     s2 = open_searcher(idx)
@@ -71,9 +71,9 @@ def test_append_openifchanged_matches_fresh_union(ray_session, tmp_path):
     assert s2.doc_count == 500
 
     s2 = IndexSearcher(idx)
-    assert open_if_changed(s2) is None  # s2 already on gen 2
+    assert open_if_changed(s2) is None  # s2 already on gen 3
 
-    # the live reopen loop: searcher open on gen 2, another append lands,
+    # the live reopen loop: searcher open on gen 3, another append lands,
     # open_if_changed returns a successor SHARING the old readers (cheap
     # NRT reopen) with only the appended segments cold-opened
     p3 = str(tmp_path / "pages_002.parquet")
@@ -286,3 +286,32 @@ def test_open_and_reopen_load_the_manifest_once(ray_session, tmp_path, monkeypat
     loads.clear()
     _assert_same_results(s3, s3._seg())  # the lazy per-segment searcher too
     assert loads == []
+
+
+def test_reopen_moves_onto_a_fresh_merge(ray_session, tmp_path):
+    """A merge commits a new manifest generation, so open_if_changed on a
+    searcher of the generation before it returns the merged searcher, and
+    that searcher's top-k equals the per-segment exhaustive search."""
+    p1, p2 = _two_files(tmp_path)
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(target_docs_per_segment=100)
+    mcfg = MergeConfig(n_shards=4, hot_df_threshold=150, hot_buckets=2)
+    build_index([p1], idx, cfg)
+    merge_index(idx, mcfg)
+    s0 = open_searcher(idx)
+    assert isinstance(s0, MergedIndexSearcher)
+    append_index([p2], idx, cfg)
+    s1 = open_if_changed(s0)
+    assert type(s1) is IndexSearcher  # the tier is stale after the append
+
+    meta = merge_index(idx, mcfg)
+    assert meta["hot_terms"]
+    s2 = open_if_changed(s1)
+    assert isinstance(s2, MergedIndexSearcher) and s2.doc_count == 500
+    exhaustive = IndexSearcher(idx)
+    for q in PROBES:
+        a = exhaustive.search(q, k=30, mode="exhaustive", total_hits_threshold=1 << 30)
+        b = s2.search(q, k=30, total_hits_threshold=1 << 30)
+        assert list(a.doc_ids) == list(b.doc_ids), q
+        assert np.array_equal(a.scores, b.scores), q
+    assert open_if_changed(s2) is None
