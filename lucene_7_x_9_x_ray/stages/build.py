@@ -16,6 +16,16 @@ Design points for 100 TB scale:
 - Partitioning is by parquet row-group ranges with doc_base prefix-sums
   computed from footers, so global docIDs derive from (file, row) lineage —
   deterministic under any task scheduling (SURVEY.md §7.5).
+- The partitions fill the build slots, as Lucene flushes one segment per
+  indexing thread (DocumentsWriterPerThreadPool.java:182):
+  target_docs_per_segment caps a segment's size, and when that plan cuts
+  a file into fewer ranges than the cluster has build slots (CPUs over
+  cpus_per_task, capped by ``concurrency``), build_index re-cuts the
+  file's row groups into one even range per slot. Each file is planned
+  alone, so adding input files keeps the earlier files' segments. The
+  segment layout depends on the slot count (build_index_local and
+  append_index plan for one slot, and an index sort keeps the target
+  plan); the docIDs do not.
 - Each task reads ONLY its row groups with column pruning (url/warc_ts/
   text/lang; html never leaves the task unless extraction is verified).
 - Resume: a task whose segment dir already holds a matching stats.json
@@ -39,7 +49,7 @@ from ..functions.analysis import get_analyzer
 from ..sources.pages import extract_text
 from ..state.manifest import IndexManifest, SegmentStats, segment_is_complete
 from ..state.segment import write_segment
-from .fanout import fan_out
+from .fanout import cluster_cpus, fan_out
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,9 @@ class BuildConfig:
     # the on-disk freq stream costs ~1 byte/block. Requires
     # index_positions=False (positions imply freqs).
     index_freqs: bool = True
+    # upper bound on a segment's docs (a lone larger row group stays
+    # whole); build_index cuts a file that the bound leaves in fewer
+    # ranges than build slots into smaller, even ones (plan_partitions)
     target_docs_per_segment: int = 100_000
     chunk_rows: int = 8192
     # Ray cpu slots reserved per build task. 1 is right on real clusters;
@@ -115,30 +128,36 @@ class BuildConfig:
 
 
 def plan_partitions(
-    input_paths: list[str], cfg: BuildConfig
+    input_paths: list[str], cfg: BuildConfig, slots: int = 1
 ) -> list[dict]:
     """Driver-side partition plan from parquet footers (no data IO).
 
-    Splits each file into contiguous row-group ranges of ~target docs; the
-    plan order (sorted file path, then row-group start) fixes doc_base
-    prefix sums and segment names deterministically.
+    Splits each file into contiguous row-group ranges of at most
+    ``target_docs_per_segment`` docs (a single larger row group stays
+    whole). When that greedy cut gives a file fewer than ``min(slots,
+    its row groups)`` ranges, the file's row groups are re-cut into that
+    many ranges of about equal rows instead (see _even_ranges), as long as
+    every range still fits the target. A range never splits a row group or
+    spans a file, and a file's ranges depend only on that file, the target
+    and ``slots`` (so many files below ``slots`` x target get up to
+    ``slots`` segments each). The plan order (sorted file path, then row-group start)
+    fixes doc_base prefix sums and segment names deterministically. An
+    index sort (``sort_by``) orders rows inside each segment, so its plan
+    ignores ``slots``: the segment layout may depend on ``slots``, the
+    docIDs never do.
     """
+    if cfg.sort_by:
+        slots = 1
     specs: list[dict] = []
     doc_base = 0
-    seg_i = 0
     for path in sorted(input_paths):
         md = pq.ParquetFile(path).metadata
         rg_rows = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
-        start = 0
-        while start < len(rg_rows):
-            rows = 0
-            end = start
-            while end < len(rg_rows) and (rows == 0 or rows + rg_rows[end] <= cfg.target_docs_per_segment):
-                rows += rg_rows[end]
-                end += 1
+        for start, end in _file_ranges(rg_rows, cfg.target_docs_per_segment, slots):
+            rows = sum(rg_rows[start:end])
             specs.append(
                 {
-                    "seg_name": f"seg_{seg_i:06d}",
+                    "seg_name": f"seg_{len(specs):06d}",
                     "path": path,
                     "rg_start": start,
                     "rg_end": end,
@@ -147,9 +166,54 @@ def plan_partitions(
                 }
             )
             doc_base += rows
-            seg_i += 1
-            start = end
     return specs
+
+
+def _file_ranges(rg_rows: list[int], target: int, slots: int) -> list[tuple[int, int]]:
+    """One file's [start, end) row-group ranges: the greedy target cut, or
+    ``min(slots, row groups)`` even ranges when the greedy cut has fewer
+    and every even range of more than one row group fits the target."""
+    ranges = _greedy_ranges(rg_rows, target)
+    k = min(slots, len(rg_rows))
+    if len(ranges) < k:
+        even = _even_ranges(rg_rows, k)
+        if all(end - start == 1 or sum(rg_rows[start:end]) <= target for start, end in even):
+            return even
+    return ranges
+
+
+def _greedy_ranges(rg_rows: list[int], target: int) -> list[tuple[int, int]]:
+    """[start, end) row-group ranges of one file, each filled up to
+    ``target`` rows (a lone row group above the target is its own range)."""
+    ranges = []
+    start = 0
+    while start < len(rg_rows):
+        rows = 0
+        end = start
+        while end < len(rg_rows) and (rows == 0 or rows + rg_rows[end] <= target):
+            rows += rg_rows[end]
+            end += 1
+        ranges.append((start, end))
+        start = end
+    return ranges
+
+
+def _even_ranges(rg_rows: list[int], k: int) -> list[tuple[int, int]]:
+    """``k`` contiguous, non-empty row-group ranges of one file: the i-th
+    cut is the row-group boundary whose row prefix sum is nearest i/k of
+    the file's rows, kept after the previous cut and before enough row
+    groups for the cuts still to come."""
+    prefix = np.concatenate([[0], np.cumsum(rg_rows)])
+    n = len(rg_rows)
+    cuts = [0]
+    for i in range(1, k):
+        share = prefix[-1] * i / k
+        j = int(np.searchsorted(prefix, share))
+        lo, hi = cuts[-1] + 1, n - (k - i)
+        below, above = min(max(j - 1, lo), hi), min(max(j, lo), hi)
+        cuts.append(below if abs(share - prefix[below]) <= abs(prefix[above] - share) else above)
+    cuts.append(n)
+    return list(zip(cuts, cuts[1:]))
 
 
 def _index_options(cfg: BuildConfig) -> str:
@@ -208,6 +272,7 @@ def build_one_segment(spec: dict, cfg: BuildConfig, segments_dir: str) -> Segmen
     if cfg.sort_by:
         # deterministic index sort: stable by the sort column, original row
         # order breaking ties — docIDs remain a pure function of the input
+        # (plan_partitions keeps the target plan under an index sort)
         import pyarrow.compute as pc
 
         idx = pc.sort_indices(table, sort_keys=[(cfg.sort_by, "ascending")])
@@ -305,7 +370,9 @@ def _build(input_paths: list[str], index_dir: str, cfg: BuildConfig,
     """Plan the partitions, build their segments, commit the manifest."""
     segments_dir = os.path.join(index_dir, "segments")
     os.makedirs(segments_dir, exist_ok=True)
-    specs = plan_partitions(input_paths, cfg)
+    # in-process builds run one segment at a time: the target plan as is
+    slots = _build_slots(cfg, concurrency) if use_ray else 1
+    specs = plan_partitions(input_paths, cfg, slots)
     if not specs:
         raise ValueError(f"no input rows found in {input_paths}")
 
@@ -326,6 +393,13 @@ def _build(input_paths: list[str], index_dir: str, cfg: BuildConfig,
     )
     manifest.save()
     return manifest
+
+
+def _build_slots(cfg: BuildConfig, concurrency: int | None) -> int:
+    """Build tasks the Ray cluster runs at once: its CPUs over
+    cpus_per_task, capped by ``concurrency`` when given."""
+    slots = max(1, cluster_cpus() // cfg.cpus_per_task)
+    return slots if concurrency is None else min(slots, concurrency)
 
 
 def _run_specs(
@@ -400,6 +474,8 @@ def append_index(
             )
 
     segments_dir = os.path.join(index_dir, "segments")
+    # appends plan for one slot: every extra cut is one more segment for
+    # searches and compactions to visit until the next merge
     specs = plan_partitions(input_paths, cfg)
     if not specs:
         raise ValueError(f"no input rows found in {input_paths}")

@@ -39,6 +39,7 @@ from ..state.segment import (
     STATS_NAME,
     TERMS_FILE,
     SegmentReader,
+    write_docmap,
     write_term_files,
 )
 from .build import _aggregate_field_stats
@@ -179,11 +180,8 @@ def merge_segment_group(index_dir: str, seg_names: list[str], out_name: str) -> 
             # homogeneous across the views (guard above)
             fres["index_positions"] = views[0].has_positions
             field_stats[fname] = fres
-        pq.write_table(
-            pa.concat_tables([r.docmap() for r in readers]),
-            os.path.join(tmp, DOCMAP_FILE),
-            row_group_size=65536,
-        )
+        write_docmap(pa.concat_tables([r.docmap() for r in readers]),
+                     os.path.join(tmp, DOCMAP_FILE))
         if has_tv:
             # carry term vectors: local docs rebase to the merged segment's
             # space; term_ords remap old dictionary -> merged dictionary
@@ -399,7 +397,7 @@ def reclaim_segment(index_dir: str, seg_name: str, new_name: str,
                 postings_format=pfmt,
             )
         dm = r.docmap().take(pa.array(keep))
-        pq.write_table(dm, os.path.join(tmp, DOCMAP_FILE), row_group_size=65536)
+        write_docmap(dm, os.path.join(tmp, DOCMAP_FILE))
         if getattr(r, "has_term_vectors", False):
             # carry term vectors for the KEPT docs: local ids compact via
             # remap; term_ords remap to the post-reclaim dictionary (rows

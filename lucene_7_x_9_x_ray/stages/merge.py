@@ -556,8 +556,13 @@ def _fingerprint(manifest: IndexManifest) -> str:
 def _finalize(merged_dir: str, manifest: IndexManifest, primary: dict,
               field_meta: dict) -> dict:
     """Commit the merged tier: merged.json (the primary field's shard set,
-    ``primary``, plus every extra field's), then the next manifest
-    generation, so open_if_changed moves readers onto the tier."""
+    ``primary``, plus every extra field's, over the segments of
+    ``manifest``, the commit the merge planned from), then the next
+    generation of the LATEST commit, so open_if_changed moves readers onto
+    the tier. A commit that landed while the merge ran keeps its segments;
+    the tier then no longer matches them and readers serve per segment.
+    There is no commit lock, so a commit landing between the reload and
+    the save is still lost."""
     # norms are NOT re-written at merge: readers resolve global docIDs to
     # per-segment norms files via doc_base offsets (SegmentedNorms in
     # search/merged.py) — the driver-side whole-corpus norms concat was a
@@ -573,9 +578,11 @@ def _finalize(merged_dir: str, manifest: IndexManifest, primary: dict,
         "fields": field_meta,
     }
     atomic_write_json(os.path.join(merged_dir, MERGED_MANIFEST), merged)
-    manifest.merged = True
-    manifest.version += 1  # the generation bump readers poll for
-    manifest.save()
+    latest = IndexManifest.load(manifest.index_dir)
+    if _fingerprint(latest) == merged["fingerprint"]:
+        latest.merged = True
+    latest.version += 1  # the generation bump readers poll for
+    latest.save()
     return merged
 
 

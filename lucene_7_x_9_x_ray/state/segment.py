@@ -397,6 +397,16 @@ def _write_field_artifacts(
     }
 
 
+def write_docmap(table: pa.Table, path: str) -> None:
+    """Write a segment's docmap: one row group per DV_BLOCK_ROWS docs (the
+    block index range queries prune with), zstd-compressed. Against
+    snappy, a 40,960-row docmap of perfbench's `search` pages shrank from
+    629 KB to 431 KB and read in 3.2 ms instead of 3.7 ms (4-CPU host).
+    terms.parquet stays snappy: zstd made a 24,576-doc segment's 44%
+    smaller but 17% slower to read."""
+    pq.write_table(table, path, row_group_size=DV_BLOCK_ROWS, compression="zstd")
+
+
 def write_segment(
     out_dir: str,
     seg_name: str,
@@ -465,8 +475,7 @@ def write_segment(
         for col, arr in (extra_docmap or {}).items():
             # user-defined stored fields / doc values, copied verbatim
             docmap_cols[col] = arr
-        docmap = pa.table(docmap_cols)
-        pq.write_table(docmap, os.path.join(tmp, DOCMAP_FILE), row_group_size=DV_BLOCK_ROWS)
+        write_docmap(pa.table(docmap_cols), os.path.join(tmp, DOCMAP_FILE))
 
         # content fingerprint for lineage: urls + lengths (cheap, order-sensitive)
         h = hashlib.sha256()

@@ -315,3 +315,45 @@ def test_reopen_moves_onto_a_fresh_merge(ray_session, tmp_path):
         assert list(a.doc_ids) == list(b.doc_ids), q
         assert np.array_equal(a.scores, b.scores), q
     assert open_if_changed(s2) is None
+
+
+def test_merge_keeps_a_commit_that_landed_while_it_ran(tmp_path, monkeypatch):
+    """addIndexes committing while a merge runs: the merge's commit keeps
+    the grafted segment and bumps past its generation, and its tier (built
+    from the older segment set) does not serve."""
+    from lucene_7_x_9_x_ray.stages import merge as merge_mod
+    from lucene_7_x_9_x_ray.stages.build import add_indexes, build_index_local
+    from lucene_7_x_9_x_ray.stages.merge import merge_index_local
+    from lucene_7_x_9_x_ray.state.manifest import IndexManifest
+
+    _, p2 = _two_files(tmp_path)
+    src = str(tmp_path / "pages_src.parquet")
+    write_pages_parquet(generate_pages(100, seed=43, vocab_size=60, mean_tokens=22),
+                        src, rows_per_row_group=100)
+    idx, other = str(tmp_path / "idx"), str(tmp_path / "other")
+    build_index_local([p2], idx, BuildConfig(target_docs_per_segment=100))
+    build_index_local([src], other, BuildConfig(target_docs_per_segment=100))
+
+    grafted = []
+    write_shard = merge_mod.write_merged_shard
+
+    def write_and_graft(*args, **kwargs):
+        if not grafted:
+            grafted.append(add_indexes(idx, [other]))
+        return write_shard(*args, **kwargs)
+
+    monkeypatch.setattr(merge_mod, "write_merged_shard", write_and_graft)
+    merge_index_local(idx, MergeConfig(n_shards=4, hot_df_threshold=10**9))
+
+    assert len(grafted[0].segments) == 3 and grafted[0].doc_count == 300
+    man = IndexManifest.load(idx)
+    assert len(man.segments) == 3 and man.doc_count == 300
+    assert man.version > grafted[0].version
+    s = open_searcher(idx)
+    assert type(s) is IndexSearcher and s.doc_count == 300
+    exhaustive = IndexSearcher(idx)
+    for q in PROBES:
+        a = exhaustive.search(q, k=30, mode="exhaustive", total_hits_threshold=1 << 30)
+        b = s.search(q, k=30, total_hits_threshold=1 << 30)
+        assert list(a.doc_ids) == list(b.doc_ids), q
+        assert np.array_equal(a.scores, b.scores), q

@@ -331,15 +331,17 @@ def test_context_completion_spans_every_segment(ray_session, tmp_path):
     from lucene_7_x_9_x_ray.search.searcher import IndexSearcher
     from lucene_7_x_9_x_ray.search.suggest import ContextCompletionSuggester
     from lucene_7_x_9_x_ray.sources.pages import generate_pages, write_pages_parquet
-    from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index
+    from lucene_7_x_9_x_ray.stages.build import BuildConfig, build_index, build_index_local
 
     pages = generate_pages(200, vocab_size=200, mean_tokens=30)
     path = str(tmp_path / "pages.parquet")
     write_pages_parquet(pages, path, rows_per_row_group=100)
     sugs = []
-    for n_seg, per_seg in [(1, 200), (2, 100)]:
+    # the in-process build plans one slot, so its 200-doc target keeps one
+    # segment (a Ray build would cut one per idle build slot)
+    for n_seg, per_seg, build in [(1, 200, build_index_local), (2, 100, build_index)]:
         idx = str(tmp_path / f"idx{n_seg}")
-        build_index([path], idx, BuildConfig(target_docs_per_segment=per_seg))
+        build([path], idx, BuildConfig(target_docs_per_segment=per_seg))
         searcher = IndexSearcher(idx)
         assert len(searcher.readers) == n_seg
         sugs.append(ContextCompletionSuggester(searcher, context_col="lang"))
