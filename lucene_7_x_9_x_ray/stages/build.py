@@ -278,10 +278,10 @@ def build_one_segment(spec: dict, cfg: BuildConfig, segments_dir: str) -> Segmen
         idx = pc.sort_indices(table, sort_keys=[(cfg.sort_by, "ascending")])
         table = table.take(idx)
 
-    texts = table[cfg.text_col].to_pylist()
+    texts = table[cfg.text_col]  # analyzed on its Arrow buffers
     if cfg.verify_extract and cfg.html_col in table.column_names:
         htmls = table[cfg.html_col].to_pylist()
-        for i, (h, t) in enumerate(zip(htmls, texts)):
+        for i, (h, t) in enumerate(zip(htmls, texts.to_pylist())):
             ext = extract_text(h)
             if ext != t:
                 raise ValueError(
@@ -305,7 +305,7 @@ def build_one_segment(spec: dict, cfg: BuildConfig, segments_dir: str) -> Segmen
 
     analyzer = get_analyzer(cfg.analyzer)
     extra = {
-        fs.name: (table[fs.col].to_pylist(), fs.index_positions)
+        fs.name: (table[fs.col], fs.index_positions)
         for fs in cfg.extra_fields
     }
     stats = write_segment(

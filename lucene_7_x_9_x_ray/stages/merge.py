@@ -32,7 +32,10 @@ Extra indexed fields merge the same way over their own term spaces, into
 merged/f_<name>/.
 
 Resume: each shard dir commits atomically with a stats.json keyed by the
-segment-set fingerprint; re-running skips completed shards.
+segment-set fingerprint and the field's shard plan (_shard_fingerprint);
+re-running the same plan skips completed shards, a different plan
+rewrites them. A task reads each segment's term dictionary once for all
+of its specs.
 """
 
 from __future__ import annotations
@@ -264,6 +267,17 @@ def _read_terms(seg_dir: str, prefix: str) -> tuple[pa.Table, np.ndarray]:
     return t, np.asarray(t["term"].to_numpy(zero_copy_only=False), dtype=object)
 
 
+def _term_dict(term_dicts: dict | None, seg_dir: str, prefix: str):
+    """_read_terms through a task's ``term_dicts`` (seg_dir -> the read),
+    so each dictionary is read once per task; None reads every time."""
+    if term_dicts is None:
+        return _read_terms(seg_dir, prefix)
+    got = term_dicts.get(seg_dir)
+    if got is None:
+        got = term_dicts[seg_dir] = _read_terms(seg_dir, prefix)
+    return got
+
+
 def assemble_range_group(
     seg_dirs: list[str],
     doc_bases: list[int],
@@ -271,6 +285,7 @@ def assemble_range_group(
     hi: str | None,
     hot_set: frozenset,
     prefix: str = "",
+    term_dicts: dict | None = None,
 ) -> pa.Table | None:
     """Pull one term-range's fragments from every segment (ranged reads);
     None when no segment holds a term of the range.
@@ -279,12 +294,13 @@ def assemble_range_group(
     are written in sorted term order), so each segment contributes one
     sequential read, shipped as one buffer — the pull-shuffle property
     that replaces the all-to-all exchange. Hot terms (salted into their
-    own groups) are filtered out of the range.
+    own groups) are filtered out of the range. ``term_dicts`` caches the
+    segments' term dictionaries across the specs of one task (_term_dict).
     """
     parts = []
     hot = pa.array(sorted(hot_set), type=pa.string())
     for seg_dir, doc_base in zip(seg_dirs, doc_bases):
-        t, terms = _read_terms(seg_dir, prefix)
+        t, terms = _term_dict(term_dicts, seg_dir, prefix)
         a = int(np.searchsorted(terms, lo, side="left"))
         b = len(terms) if hi is None else int(np.searchsorted(terms, hi, side="left"))
         if a >= b:
@@ -304,6 +320,7 @@ def assemble_hot_group(
     bucket: int,
     hot_buckets: int,
     prefix: str = "",
+    term_dicts: dict | None = None,
 ) -> pa.Table | None:
     """Pull one salted hot term's fragments for one doc-range bucket: the
     term's one-row range of every segment in the bucket (a contiguous run
@@ -313,7 +330,7 @@ def assemble_hot_group(
     for o, (seg_dir, doc_base) in enumerate(zip(seg_dirs, doc_bases)):
         if o * hot_buckets // len(seg_dirs) != bucket:
             continue
-        t, terms = _read_terms(seg_dir, prefix)
+        t, terms = _term_dict(term_dicts, seg_dir, prefix)
         i = int(np.searchsorted(terms, term))
         if i < len(terms) and terms[i] == term:
             parts.append(pa.table(_term_range_cols(t, seg_dir, doc_base, i, i + 1, prefix)))
@@ -375,6 +392,12 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
             hot_terms, bnds = plan_merge_ranges(*collect_term_stats(manifest, prefix=prefix), cfg)
         hot_set = frozenset(hot_terms)
         os.makedirs(out_dir, exist_ok=True)
+        plan = {"n_shards": cfg.n_shards, "hot_buckets": cfg.hot_buckets,
+                "hot_terms": hot_terms, "boundaries": bnds}
+        # a shard resumes only under the same segments AND the same plan,
+        # postings format and field: its id means a different term range
+        # under another plan
+        shard_fp = _shard_fingerprint(fp, plan, manifest.postings_format, prefix)
 
         specs = [
             {"kind": "range", "shard_id": si, "lo": lo,
@@ -387,22 +410,30 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
             for bucket in range(cfg.hot_buckets)
         ]
 
-        def run_spec(spec: dict) -> dict | None:
-            if spec["kind"] == "range":
-                group = assemble_range_group(
-                    seg_dirs, doc_bases, spec["lo"], spec["hi"], hot_set, prefix=prefix,
-                )
-            else:
-                group = assemble_hot_group(
-                    seg_dirs, doc_bases, spec["term"], spec["bucket"], cfg.hot_buckets,
-                    prefix=prefix,
-                )
-            if group is None:
-                return None
-            return write_merged_shard(
-                group, out_dir, fp, spec["shard_id"],
-                postings_format=manifest.postings_format, prefix=prefix,
-            )
+        def run_block(block: dict) -> dict:
+            """One task: its specs one at a time (one spec's fragments in
+            memory at once), each segment's term dictionary read once for
+            all of them."""
+            specs_ = block["specs"]
+            term_dicts = {} if len(specs_) > 1 else None
+            shards_ = []
+            for spec in specs_:
+                if spec["kind"] == "range":
+                    group = assemble_range_group(
+                        seg_dirs, doc_bases, spec["lo"], spec["hi"], hot_set,
+                        prefix=prefix, term_dicts=term_dicts,
+                    )
+                else:
+                    group = assemble_hot_group(
+                        seg_dirs, doc_bases, spec["term"], spec["bucket"], cfg.hot_buckets,
+                        prefix=prefix, term_dicts=term_dicts,
+                    )
+                if group is not None:
+                    shards_.append(write_merged_shard(
+                        group, out_dir, shard_fp, spec["shard_id"],
+                        postings_format=manifest.postings_format, prefix=prefix,
+                    ))
+            return {"shards": shards_}
 
         # one Ray task per BLOCK of specs, MERGE_BLOCKS_PER_CPU (2) blocks
         # per CPU: at toy scale a block per spec means hundreds of ~50 ms
@@ -413,8 +444,8 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
         n_blocks = (
             max(1, min(len(specs), cluster_cpus() * MERGE_BLOCKS_PER_CPU)) if use_ray else 1
         )
-        flat = [s for i in range(n_blocks) for s in specs[i::n_blocks]]
-        shards = fan_out(run_spec, flat, n_blocks=n_blocks, batch_size=None, use_ray=use_ray)
+        blocks = [{"specs": specs[i::n_blocks]} for i in range(n_blocks)]
+        shards = [s for r in fan_out(run_block, blocks, use_ray=use_ray) for s in r["shards"]]
         return {
             "n_shards": cfg.n_shards,
             "hot_buckets": cfg.hot_buckets,
@@ -467,8 +498,10 @@ def write_merged_shard(
     postings_format: str = "for", prefix: str = "",
 ) -> dict:
     """Merge one shard's pulled fragments, commit atomically.
-    ``prefix`` names the field (state.segment.field_prefix) whose norms
-    the re-encoded impacts use."""
+    ``fingerprint`` is the shard's resume key (_shard_fingerprint): a
+    shard dir whose stats.json holds it is kept. ``prefix`` names the
+    field (state.segment.field_prefix) whose norms the re-encoded impacts
+    use."""
     shard_name = f"shard_{shard_id:05d}"
     out_dir = os.path.join(merged_dir, shard_name)
     stats_path = os.path.join(out_dir, "stats.json")
@@ -520,8 +553,8 @@ def write_merged_shard(
         if os.path.exists(out_dir):
             # keep an existing dir only if it is the SAME fingerprint (a
             # concurrent task of this run won the race — content identical);
-            # a stale shard from a previous segment set must be replaced or
-            # re-merge-after-append would silently serve the old index
+            # a stale shard from a previous segment set or plan must be
+            # replaced or the re-merge would silently serve the old index
             try:
                 same = load_json(os.path.join(out_dir, "stats.json")).get(
                     "fingerprint"
@@ -551,6 +584,18 @@ def _fingerprint(manifest: IndexManifest) -> str:
     from ..state.manifest import segments_fingerprint
 
     return segments_fingerprint(manifest)
+
+
+def _shard_fingerprint(segments_fp: str, plan: dict, postings_format: str,
+                       prefix: str) -> str:
+    """A merged shard's resume key: the segment-set fingerprint plus the
+    field's shard plan (n_shards, hot_buckets, hot terms, boundaries), the
+    postings format and the field prefix; as wide as segments_fingerprint."""
+    import hashlib
+    import json
+
+    key = json.dumps([segments_fp, plan, postings_format, prefix], sort_keys=True)
+    return hashlib.sha256(key.encode()).hexdigest()[: len(segments_fp)]
 
 
 def _finalize(merged_dir: str, manifest: IndexManifest, primary: dict,

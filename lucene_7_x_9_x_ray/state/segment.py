@@ -85,61 +85,61 @@ def invert_texts_coded(
     """Invert a partition into integer-coded triples.
 
     Returns (vocab: object[] unsorted, term_codes: int64[], local_docs:
-    int64[], freqs: int64[], doc_lengths: int64[]). This is the DWPT
-    in-RAM inverted table equivalent (blog/Lucene/Index/倒排表) built with
-    hash-based factorization (the BytesRefHash analogue) — no O(n log n)
-    sort over token strings; only the small vocab is ever sorted later.
+    int64[], freqs: int64[], doc_lengths: int64[]), the triples in
+    (term code, doc) order. This is the DWPT in-RAM inverted table
+    equivalent (blog/Lucene/Index/倒排表): the analyzer hands over integer
+    codes (the BytesRefHash analogue), one stable sort of the codes groups
+    the (doc-ordered) tokens by term, and each run of equal (term, doc) is
+    one triple — no sort over token strings; only the small vocab is ever
+    sorted later.
     """
-    import pandas as pd
-
-    n = len(texts)
-    lengths = np.zeros(n, dtype=np.int64)
-    vocab_index: dict = {}
-    vocab_list: list = []
-    c_parts: list[np.ndarray] = []
-    d_parts: list[np.ndarray] = []
-    f_parts: list[np.ndarray] = []
-    for base in range(0, n, chunk_rows):
-        chunk = texts[base : base + chunk_rows]
-        tokens, doc_idx = analyzer.tokenize_batch(chunk)
-        m = len(chunk)
-        lengths[base : base + m] = np.bincount(doc_idx, minlength=m)
-        if len(tokens) == 0:
-            continue
-        local_codes, local_vocab = pd.factorize(tokens)
-        # remap chunk-local codes to the growing global vocab (loop is over
-        # the chunk VOCAB only, not tokens)
-        remap = np.empty(len(local_vocab), dtype=np.int64)
-        for i, t in enumerate(local_vocab):
-            gc = vocab_index.get(t)
-            if gc is None:
-                gc = len(vocab_list)
-                vocab_index[t] = gc
-                vocab_list.append(t)
-            remap[i] = gc
-        gcodes = remap[local_codes]
-        # pair-count via a single flat key; (term, doc) pairs are unique
-        # across chunks because each doc lives in exactly one chunk
-        key = gcodes * m + doc_idx
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        counts = np.diff(np.r_[starts, len(key)])
-        pair_keys = key[starts]
-        c_parts.append(pair_keys // m)
-        d_parts.append(pair_keys % m + base)
-        f_parts.append(counts.astype(np.int64))
-    vocab = np.array(vocab_list, dtype=object)
-    if not c_parts:
+    vocab, codes, docs, lengths = _tokenize_chunks(texts, analyzer, chunk_rows)
+    if not len(codes):
         empty = np.empty(0, dtype=np.int64)
         return vocab, empty, empty, empty, lengths
-    return (
-        vocab,
-        np.concatenate(c_parts),
-        np.concatenate(d_parts),
-        np.concatenate(f_parts),
-        lengths,
+    order = np.argsort(_narrow(codes, len(vocab)), kind="stable")
+    codes, docs = codes[order], docs[order]
+    starts = np.flatnonzero(
+        np.r_[True, (codes[1:] != codes[:-1]) | (docs[1:] != docs[:-1])]
     )
+    freqs = np.diff(np.r_[starts, len(codes)])
+    return vocab, codes[starts].astype(np.int64), docs[starts], freqs, lengths
+
+
+def _narrow(codes: np.ndarray, n_values: int) -> np.ndarray:
+    """``codes`` (all < n_values) as uint16 when they fit: numpy's stable
+    argsort of a 16-bit integer array is a radix sort."""
+    return codes.astype(np.uint16) if n_values <= 1 << 16 else codes
+
+
+def _tokenize_chunks(texts, analyzer: Analyzer, chunk_rows: int):
+    """``analyzer.tokenize_coded`` over row chunks of ``texts`` (the chunk
+    bounds the analyzer's working set), codes unified across chunks by one
+    dictionary encode of the chunk vocabularies. Returns (vocab, codes,
+    local docs, doc_lengths), tokens in (doc, position) order."""
+    n = len(texts)
+    parts = []
+    for base in range(0, n, chunk_rows):
+        vocab, codes, doc_idx = analyzer.tokenize_coded(texts[base : base + chunk_rows])
+        parts.append((vocab, codes, doc_idx + base))
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=object), empty, empty, empty
+    if len(parts) == 1:
+        vocab, codes, docs = parts[0]
+    else:
+        enc = pa.array(
+            np.concatenate([p[0] for p in parts]), type=pa.large_string()
+        ).dictionary_encode()
+        glob = enc.indices.to_numpy()
+        cuts = np.cumsum([0] + [len(p[0]) for p in parts])
+        vocab = enc.dictionary.to_numpy(zero_copy_only=False)
+        codes = np.concatenate(
+            [glob[cuts[i] : cuts[i + 1]][p[1]] for i, p in enumerate(parts)]
+        )
+        docs = np.concatenate([p[2] for p in parts])
+    docs = docs.astype(np.int64, copy=False)
+    return vocab, codes, docs, np.bincount(docs, minlength=n).astype(np.int64)
 
 
 def split_payload_tokens(tokens, delimiter: str):
@@ -176,63 +176,28 @@ def invert_tokens_coded(
     """Token-level inversion (positions path).
 
     Returns (vocab unsorted, term_codes per token, local_docs per token,
-    positions per token [0-based within doc], doc_lengths). Used when
-    IndexOptions include positions — the DefaultIndexingChain.invert:806
-    analogue that keeps the position attribute. With ``payload_delimiter``
-    set, tokens are split by split_payload_tokens and a sixth element (the
-    per-token float32 payload stream, NaN = absent) is appended.
+    positions per token [0-based within doc], doc_lengths), tokens in (doc,
+    position) order. Used when IndexOptions include positions — the
+    DefaultIndexingChain.invert:806 analogue that keeps the position
+    attribute. With ``payload_delimiter`` set, vocab entries are split by
+    split_payload_tokens (once per entry, not per token) and a sixth element
+    (the per-token float32 payload stream, NaN = absent) is appended.
     """
+    vocab, codes, docs, lengths = _tokenize_chunks(texts, analyzer, chunk_rows)
+    doc_tok_starts = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=doc_tok_starts[1:])
+    positions = np.arange(len(codes), dtype=np.int64) - doc_tok_starts[docs]
+    if payload_delimiter is None:
+        return vocab, codes, docs, positions, lengths
     import pandas as pd
 
-    n = len(texts)
-    lengths = np.zeros(n, dtype=np.int64)
-    vocab_index: dict = {}
-    vocab_list: list = []
-    c_parts, d_parts, p_parts, pay_parts = [], [], [], []
-    for base in range(0, n, chunk_rows):
-        chunk = texts[base : base + chunk_rows]
-        tokens, doc_idx = analyzer.tokenize_batch(chunk)
-        if payload_delimiter is not None:
-            tokens, tok_pays = split_payload_tokens(tokens, payload_delimiter)
-        m = len(chunk)
-        per_doc = np.bincount(doc_idx, minlength=m)
-        lengths[base : base + m] = per_doc
-        if len(tokens) == 0:
-            continue
-        doc_tok_starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(per_doc[:-1], out=doc_tok_starts[1:])
-        positions = np.arange(len(tokens), dtype=np.int64) - doc_tok_starts[doc_idx]
-        local_codes, local_vocab = pd.factorize(tokens)
-        remap = np.empty(len(local_vocab), dtype=np.int64)
-        for i, t in enumerate(local_vocab):
-            gc = vocab_index.get(t)
-            if gc is None:
-                gc = len(vocab_list)
-                vocab_index[t] = gc
-                vocab_list.append(t)
-            remap[i] = gc
-        c_parts.append(remap[local_codes])
-        d_parts.append(doc_idx.astype(np.int64) + base)
-        p_parts.append(positions)
-        if payload_delimiter is not None:
-            pay_parts.append(tok_pays)
-    vocab = np.array(vocab_list, dtype=object)
-    if not c_parts:
-        empty = np.empty(0, dtype=np.int64)
-        base_out = (vocab, empty, empty, empty, lengths)
-        if payload_delimiter is not None:
-            return base_out + (np.empty(0, dtype=np.float32),)
-        return base_out
-    out = (
-        vocab,
-        np.concatenate(c_parts),
-        np.concatenate(d_parts),
-        np.concatenate(p_parts),
-        lengths,
+    terms, pays = split_payload_tokens(vocab, payload_delimiter)
+    # "a|1" and "a" share the term "a": merge the vocab entries
+    remap, vocab = pd.factorize(terms)
+    return (
+        np.asarray(vocab, dtype=object), remap[codes], docs, positions, lengths,
+        pays[codes],
     )
-    if payload_delimiter is not None:
-        return out + (np.concatenate(pay_parts),)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +254,9 @@ def _write_field_artifacts(
         raise ValueError("index_positions=True requires index_freqs=True "
                          "(IndexOptions.DOCS has no positions)")
     if index_positions:
-        # token-level path: one lexsort of (term rank, doc, position) gives
-        # the postings AND the per-term position streams in final order
+        # token-level path: one stable sort by term rank of the (doc,
+        # position)-ordered tokens gives the postings AND the per-term
+        # position streams in final order
         if payload_delimiter is not None:
             vocab, codes_tok, docs_tok, pos_tok, lengths, pay_tok = invert_tokens_coded(
                 texts, analyzer, payload_delimiter=payload_delimiter
@@ -301,16 +267,19 @@ def _write_field_artifacts(
         vocab, codes, docs, freqs, lengths = invert_texts_coded(texts, analyzer)
     norms = int_to_byte4(lengths)
 
-    # sort triples by (term, doc): only the SMALL vocab is string-sorted;
-    # the big triple arrays sort on integer codes (rank remap + lexsort)
+    # sort by (term, doc[, position]): only the SMALL vocab is string-sorted;
+    # within each term code the big arrays already run in doc (then
+    # position) order, so one stable sort of their term ranks (a radix sort
+    # while ranks fit uint16) suffices
     if len(vocab):
         vocab_order = np.argsort(vocab)  # sorted term strings
         uniq_terms = vocab[vocab_order]
         rank = np.empty(len(vocab), dtype=np.int64)
         rank[vocab_order] = np.arange(len(vocab))
+        rank = _narrow(rank, len(vocab))
         if index_positions:
             inv_tok = rank[codes_tok]
-            order = np.lexsort((pos_tok, docs_tok, inv_tok))
+            order = np.argsort(inv_tok, kind="stable")
             inv_st = inv_tok[order]
             docs_st = docs_tok[order]
             pos_s = pos_tok[order]
@@ -325,7 +294,7 @@ def _write_field_artifacts(
             inv_s = inv_st[pair_tok_starts]
         else:
             inv = rank[codes]
-            order = np.lexsort((docs, inv))
+            order = np.argsort(inv, kind="stable")  # triples: (code, doc) order
             docs_s = docs[order]
             freqs_s = freqs[order]
             inv_s = inv[order]
@@ -337,7 +306,7 @@ def _write_field_artifacts(
                 tv_freqs = freqs_s
                 freqs_s = np.ones_like(freqs_s)
         # term boundaries
-        starts = np.searchsorted(inv_s, np.arange(len(uniq_terms)))
+        starts = np.searchsorted(inv_s, np.arange(len(uniq_terms), dtype=inv_s.dtype))
         ends = np.append(starts[1:], len(inv_s))
     else:
         uniq_terms = np.empty(0, dtype=object)

@@ -2,7 +2,11 @@
 TestStandardAnalyzer — solr-8.4.0/lucene/core/src/test/.../standard/
 TestStandardAnalyzer.java:41-330)."""
 
+import string
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucene_7_x_9_x_ray.functions.analysis import (
     ENGLISH_STOP_WORDS,
@@ -139,33 +143,98 @@ def test_deterministic_token_order():
     assert np.all(np.diff(doc_idx) >= 0)
 
 
-def test_ascii_fast_path_equivalence():
-    """Tokenization must not depend on co-batched documents: the ASCII
-    fast-path regex must tokenize identically to the Unicode pattern on
-    any ASCII input (property-tested), and a doc's tokens must be the
-    same whether or not a non-ASCII doc shares its batch."""
-    import random
-    import string
+# documents for the kernel-vs-regex properties: ASCII text dense in
+# connectors (at document ends too), runs past maxTokenLength, empty and
+# null documents, and non-ASCII text that takes the per-document regex
+_ASCII_CHARS = string.ascii_letters + string.digits + "_'.,:; -\t\"()"
+_ASCII_DOC = st.text(alphabet=st.sampled_from(list(_ASCII_CHARS)), max_size=40)
+_LONG_RUN = st.builds(
+    lambda k, c, tail: c * k + tail,
+    st.integers(250, 600), st.sampled_from("aZ9_"), st.sampled_from(["", ".", "'", ",1", ".x", " y"]),
+)
+_OTHER_DOC = st.text(
+    alphabet=st.sampled_from(list(_ASCII_CHARS + "éİ’·中トヨ안녕ß")), max_size=30
+)
+_DOC = st.one_of(_ASCII_DOC, _ASCII_DOC, _LONG_RUN, st.none(), st.just(""), _OTHER_DOC)
 
-    from lucene_7_x_9_x_ray.functions.analysis import (
-        _ASCII_WORD,
-        _STANDARD_PATTERN,
-        get_analyzer,
-    )
 
-    rng = random.Random(1234)
-    alphabet = string.ascii_letters + string.digits + "_'.,:; -\t\"()"
-    for _ in range(5000):
-        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))).lower()
-        a = [m.group() for m in _ASCII_WORD.finditer(s)]
-        b = [m.group() for m in _STANDARD_PATTERN.finditer(s)]
-        assert a == b, s
+def _regex_tokens(doc):
+    """The reference tokenizer: _STANDARD_PATTERN over the lowered
+    document, overlong tokens cut into maxTokenLength pieces."""
+    from lucene_7_x_9_x_ray.functions.analysis import _STANDARD_PATTERN
 
-    an = get_analyzer("standard")
-    doc = "a._b x4.y don't 1,5 v1.2"
-    alone, _ = an.tokenize_batch([doc])
-    mixed, idx = an.tokenize_batch([doc, "café"])
-    assert alone.tolist() == mixed[idx == 0].tolist()
+    out = []
+    for tok in _STANDARD_PATTERN.findall("" if doc is None else doc.lower()):
+        out.extend(tok[i : i + MAX_TOKEN_LENGTH] for i in range(0, len(tok), MAX_TOKEN_LENGTH))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_DOC, max_size=12))
+def test_ascii_fast_path_equivalence(docs):
+    """The ASCII kernel tokenizes exactly as _STANDARD_PATTERN does on
+    ASCII input, and a batch's tokens are each document's regex tokens in
+    order, whatever documents share the batch (non-ASCII and null
+    documents take the regex, the rest the kernel)."""
+    import pyarrow as pa
+
+    from lucene_7_x_9_x_ray.functions.analysis import _ascii_kernel
+
+    ascii_docs = [d for d in docs if d is not None and d.isascii()]
+    tokens, doc_idx = _ascii_kernel(pa.array(ascii_docs, type=pa.string()))
+    assert list(zip(doc_idx.tolist(), tokens.to_pylist())) == [
+        (i, t) for i, d in enumerate(ascii_docs) for t in _regex_tokens(d)
+    ]
+
+    expect = [(i, t) for i, d in enumerate(docs) for t in _regex_tokens(d)]
+    for batch in (docs, pa.array(docs, type=pa.string()), pa.chunked_array([docs], pa.large_string())):
+        tokens, doc_idx = STD.tokenize_batch(batch)
+        assert list(zip(doc_idx.tolist(), tokens.tolist())) == expect
+    for i, d in enumerate(docs):
+        assert STD.tokens(d) == _regex_tokens(d)
+
+
+_CHAIN_WORDS = ["The", "dog's", "running", "RUNS", "a", "is", "caresses", "it's",
+                "O'Neil's", "3.14", "café", "naïve", "over", "x" * 300, "ponies"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_CHAIN_WORDS), max_size=12).map(" ".join),
+    _ASCII_DOC,
+), max_size=10))
+def test_vocab_level_filters_match_the_per_token_chain(docs):
+    """tokenize_batch, which runs the token-local filters once per vocab
+    entry over the coded tokenizer output, equals the per-token chain (the
+    per-document regex tokenizer, then each filter over every token) for
+    the standard, english and stop analyzers and a custom stop+Porter
+    chain."""
+    from lucene_7_x_9_x_ray.functions.analysis import CustomAnalyzer
+
+    for an in (
+        STD, get_analyzer("standard_en"), get_analyzer("english"), get_analyzer("stop"),
+        CustomAnalyzer("standard", [("stop", {"stopwords": ["the", "a", "is"]}), "porter"]),
+    ):
+        tokens, doc_idx = an._tokenize_raw(docs)
+        for f in an._filters:
+            tokens, doc_idx = f(tokens, doc_idx)
+        got, got_idx = an.tokenize_batch(docs)
+        assert got.tolist() == tokens.tolist(), an.name
+        assert got_idx.tolist() == doc_idx.tolist(), an.name
+        vocab, codes, _ = an.tokenize_coded(docs)
+        assert len(set(vocab.tolist())) == len(vocab)
+        assert set(codes.tolist()) == set(range(len(vocab)))
+
+
+def test_custom_chain_splits_at_its_last_non_local_filter():
+    """A chain's filters after its last context-dependent one (shingle
+    here) run per vocab entry; the ones before it run per token."""
+    from lucene_7_x_9_x_ray.functions.analysis import CustomAnalyzer
+
+    an = CustomAnalyzer("standard", ["porter", "shingle", "reverse"])
+    assert len(an._token_chain) == 2 and len(an._filters) == 1
+    assert an.tokens("Running dogs") == ["nur", "god nur", "god"]
 
 
 def test_porter_stemmer_paper_vectors():

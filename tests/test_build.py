@@ -402,3 +402,46 @@ def test_incremental_build_resumes_an_even_cut_file(ray_session, tmp_path):
     m3 = append_index([p3], idx, cfg)
     assert len(m3.segments) == 7 and m3.segments[-1]["doc_count"] == 300
     assert m3.doc_count == 900
+
+
+def test_arrow_and_list_texts_write_identical_files(tmp_path, monkeypatch):
+    """build_one_segment hands write_segment the Arrow text column; the
+    segment and merged files are byte-identical to those of a build that
+    passes list[str] (non-ASCII, null and long-run documents included)."""
+    from lucene_7_x_9_x_ray.stages import build as build_mod
+    from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index_local
+
+    t = generate_pages(600, seed=9, vocab_size=150, mean_tokens=20)
+    texts = t["text"].to_pylist()
+    for i in range(0, 600, 7):
+        texts[i] = ["Café naïve O'Neil's", None, "x" * 300 + ".y 3.14 1,000", ""][i % 4]
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts))
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(t, path, row_group_size=100)
+    write_segment = build_mod.write_segment
+    passed = []
+
+    def as_list(*args, texts, **kwargs):
+        passed.append(type(texts))
+        return write_segment(*args, texts=texts.to_pylist(), **kwargs)
+
+    trees = {}
+    for name in ("arrow", "list"):
+        if name == "list":
+            monkeypatch.setattr(build_mod, "write_segment", as_list)
+        idx = str(tmp_path / name)
+        build_index_local([path], idx, BuildConfig(target_docs_per_segment=200))
+        merge_index_local(idx, MergeConfig(n_shards=3, hot_df_threshold=300))
+        trees[name] = {}
+        for f in sorted(glob.glob(os.path.join(idx, "**", "*"), recursive=True)):
+            rel = os.path.relpath(f, idx)
+            if not os.path.isfile(f) or rel == "manifest.json":
+                continue
+            data = open(f, "rb").read()
+            if rel.endswith(".json"):  # the build's own timing differs run to run
+                data = {k: v for k, v in json.loads(data).items() if k != "elapsed_sec"}
+            trees[name][rel] = data
+    assert passed and all(p is pa.ChunkedArray for p in passed)
+    assert any(k.startswith("segments") for k in trees["arrow"])
+    assert any(k.startswith("merged") for k in trees["arrow"])
+    assert trees["arrow"] == trees["list"]

@@ -270,3 +270,68 @@ def test_sampled_boundaries_match_exact_results(ray_session, tmp_path):
         assert np.array_equal(ta.scores, tb.scores)
     # no merged norms file is written any more (SegmentedNorms serves reads)
     assert not os.path.exists(os.path.join(idx_a, "merged", "norms.bin"))
+
+
+def test_a_new_shard_plan_resumes_no_shard(tmp_path):
+    """Re-merging the same segments under another shard plan rewrites
+    every shard: a shard id names a different term range under n_shards=8
+    than under n_shards=4, so the resume key covers the plan."""
+    pages = generate_pages(800, seed=31, vocab_size=200, mean_tokens=25, dup_url_frac=0)
+    path = write_pages_parquet(pages, str(tmp_path / "pages.parquet"), rows_per_row_group=200)
+    idx = str(tmp_path / "idx")
+    build_index_local([path], idx, BuildConfig(target_docs_per_segment=200))
+    merge_index_local(idx, MergeConfig(n_shards=4, hot_df_threshold=10**9))
+    out = merge_index_local(idx, MergeConfig(n_shards=8, hot_df_threshold=10**9))
+    assert len(out["shards"]) == 8
+    assert not any(s["resumed"] for s in out["shards"])
+    again = merge_index_local(idx, MergeConfig(n_shards=8, hot_df_threshold=10**9))
+    assert all(s["resumed"] for s in again["shards"])
+
+    mrg, seg = open_searcher(idx), IndexSearcher(idx)
+    assert isinstance(mrg, MergedIndexSearcher)
+    for i in range(0, 200, 7):
+        q = Q.TermQuery(f"t{i:05d}")
+        a = seg.search(q, k=20, mode="exhaustive", total_hits_threshold=1 << 30)
+        b = mrg.search(q, k=20, total_hits_threshold=1 << 30)
+        assert list(a.doc_ids) == list(b.doc_ids), q
+        assert np.array_equal(a.scores, b.scores), q
+
+
+def test_a_merge_task_reads_each_term_dictionary_once(built, tmp_path, monkeypatch):
+    """The in-process merge runs all its specs (8 range shards and the hot
+    buckets) as one task, which reads each segment's terms.parquet once;
+    the merged tree is the one per-spec reads wrote."""
+    import shutil
+
+    from lucene_7_x_9_x_ray.stages import merge as merge_mod
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built, idx, ignore=shutil.ignore_patterns("merged"))
+    reads = []
+    read_terms = merge_mod._read_terms
+
+    def counting(seg_dir, prefix):
+        reads.append(seg_dir)
+        return read_terms(seg_dir, prefix)
+
+    monkeypatch.setattr(merge_mod, "_read_terms", counting)
+    out = merge_index_local(idx, MCFG)
+    n_segs = len(IndexManifest.load(idx).segments)
+    assert len(out["shards"]) > MCFG.n_shards  # range and hot specs
+    assert sorted(reads) == sorted(set(reads)) and len(reads) == n_segs
+
+    # a one-spec task keeps reading per spec, as before
+    reads.clear()
+    seg_dirs = IndexManifest.load(idx).segment_dirs()
+    bases = [s["doc_base"] for s in IndexManifest.load(idx).segments]
+    merge_mod.assemble_range_group(seg_dirs, bases, "", None, frozenset())
+    assert len(reads) == n_segs
+
+    ref = str(tmp_path / "ref")
+    shutil.copytree(built, ref, ignore=shutil.ignore_patterns("merged"))
+    monkeypatch.setattr(merge_mod, "_term_dict", lambda _d, sd, p: read_terms(sd, p))
+    merge_index_local(ref, MCFG)
+    a = _tree_bytes(os.path.join(idx, "merged"))
+    b = _tree_bytes(os.path.join(ref, "merged"))
+    assert sorted(a) == sorted(b)
+    assert [k for k in a if a[k] != b[k]] == []
