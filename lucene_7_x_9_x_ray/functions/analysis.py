@@ -31,11 +31,15 @@ dictionary-encode straight into (vocab, codes) — the role Lucene's
 StandardTokenizer char buffer and BytesRefHash byte pools play. A document
 with a non-ASCII byte, or a null, takes the per-document
 ``_STANDARD_PATTERN`` regex instead, so a document's tokens never depend on
-its batch neighbours. Filters that map or drop one token at a time (stop,
-possessive, Porter, ...) run once per vocabulary entry, not per token.
-Other tokenizers run one compiled-regex ``findall`` per document (a Python
-loop over documents, never over tokens) and their tokens are factorized.
-``tokenize_batch(texts)`` is ``vocab[codes]`` of the same pass.
+its batch neighbours; a batch of under 512 bytes (a query string) takes
+the regex whole, which costs less than the kernel's fixed setup there.
+Filters that map or drop one token at a time (stop, possessive, Porter,
+...) run once per vocabulary entry, not per token; a custom chain's filters
+up to its last context-dependent one (shingle, n-grams, CJK bigrams) run
+over the token stream first. Other tokenizers run one compiled-regex
+``findall`` per document (a Python loop over documents, never over tokens)
+and their tokens are factorized. ``tokenize_batch(texts)`` is
+``vocab[codes]`` of the same pass.
 Tokenizing and inverting one 24,576-page segment of perfbench's
 ``search`` corpus (``invert_tokens_coded``, in one process on a shared
 4-CPU host, median of 7 calls) took 0.09-0.12 s, against 0.34-0.35 s with
@@ -189,22 +193,20 @@ class Analyzer:
             flat.extend(toks)
         tokens = np.array(flat, dtype=object)
 
-        # maxTokenLength=255: overlong runs are split (rare; vectorized scan)
-        if len(tokens):
-            lens = pc.utf8_length(pa.array(tokens, type=pa.string())).to_numpy()
-            if int(lens.max(initial=0)) > MAX_TOKEN_LENGTH:
-                out_t: list[str] = []
-                out_d: list[int] = []
-                for tok, d in zip(tokens, doc_idx):
-                    if len(tok) <= MAX_TOKEN_LENGTH:
-                        out_t.append(tok)
+        # maxTokenLength=255: overlong runs are split (rare)
+        if flat and max(map(len, flat)) > MAX_TOKEN_LENGTH:
+            out_t: list[str] = []
+            out_d: list[int] = []
+            for tok, d in zip(tokens, doc_idx):
+                if len(tok) <= MAX_TOKEN_LENGTH:
+                    out_t.append(tok)
+                    out_d.append(int(d))
+                else:
+                    for off in range(0, len(tok), MAX_TOKEN_LENGTH):
+                        out_t.append(tok[off : off + MAX_TOKEN_LENGTH])
                         out_d.append(int(d))
-                    else:
-                        for off in range(0, len(tok), MAX_TOKEN_LENGTH):
-                            out_t.append(tok[off : off + MAX_TOKEN_LENGTH])
-                            out_d.append(int(d))
-                tokens = np.array(out_t, dtype=object)
-                doc_idx = np.array(out_d, dtype=np.int64)
+            tokens = np.array(out_t, dtype=object)
+            doc_idx = np.array(out_d, dtype=np.int64)
         return tokens, doc_idx
 
     def doc_token_counts(self, texts: Sequence[str]) -> np.ndarray:
@@ -220,7 +222,7 @@ def _filter_vocab(filters, vocab, codes, doc_idx):
     as its token array and the entry indices as its doc array). A drop
     takes its entries out of the vocab with their tokens, so every entry
     left is still used; a map may merge entries, so the vocab is
-    deduplicated at the end."""
+    deduplicated at the end when it did."""
     import pandas as pd
 
     for f in filters:
@@ -232,6 +234,8 @@ def _filter_vocab(filters, vocab, codes, doc_idx):
             keep = codes >= 0
             codes, doc_idx = codes[keep], doc_idx[keep]
         vocab = mapped
+    if len(set(vocab.tolist())) == len(vocab):
+        return vocab, codes, doc_idx
     remap, uniq = pd.factorize(vocab)
     return np.asarray(uniq, dtype=object), remap[codes], doc_idx
 
@@ -314,6 +318,15 @@ def _ascii_kernel(arr: pa.Array) -> tuple[pa.LargeStringArray, np.ndarray]:
     return tokens, doc_idx
 
 
+# Below this many bytes of Arrow text buffers a batch is tokenized by the
+# per-document regex: the kernel's fixed cost (about 20 array passes, about
+# 0.1 ms) exceeds a findall over that little text. One ASCII document of
+# 276 bytes took 0.12 ms by the regex and 0.17 ms by the kernel, one of
+# 1,104 bytes 0.26 ms against 0.19 ms (coded output, one process on a
+# shared host).
+_KERNEL_MIN_BYTES = 512
+
+
 def _string_array(texts) -> pa.Array | None:
     """``texts`` as one Arrow string/large_string array, or None when it
     holds a value Arrow cannot store as UTF-8 text (then the caller takes
@@ -345,9 +358,10 @@ class StandardAnalyzer(Analyzer):
 
     def _tokenize_raw_coded(self, texts):
         """The ASCII kernel over the pure-ASCII documents, the per-document
-        regex over the rest, one dictionary encode of the tokens."""
+        regex over the rest, one dictionary encode of the tokens. A batch
+        under _KERNEL_MIN_BYTES (a query string) takes the regex whole."""
         arr = _string_array(texts)
-        if arr is None:
+        if arr is None or arr.get_total_buffer_size() < _KERNEL_MIN_BYTES:
             return super()._tokenize_raw_coded(texts)
         ascii_ok = pc.fill_null(pc.string_is_ascii(arr), False).to_numpy(
             zero_copy_only=False
@@ -708,15 +722,6 @@ def _porter_filter(tokens, doc_idx):
     return _vocab_map(tokens, porter_stem), doc_idx
 
 
-# filters that map or drop one token at a time, whatever its neighbours:
-# a chain's filters after its last other one run once per vocabulary entry
-_TOKEN_LOCAL = frozenset({
-    "lowercase", "stop", "ascii_folding", "length", "reverse", "porter",
-    "french_light_stem", "german_light_stem", "spanish_light_stem",
-    "elision", "possessive", "soundex", "keyword_marker", "stemmer_override",
-})
-
-
 _TOKENIZERS: dict[str, type[Analyzer]] = {}  # filled after CustomAnalyzer
 
 
@@ -763,13 +768,11 @@ class CustomAnalyzer(Analyzer):
             )
         self._tok = tok_cls()  # bare tokenizer: no stop set, chain is ours
         self.lowercase_input = self._tok.lowercase_input
-        chain = [self._make_filter(spec) for spec in filters]
-        names = [spec if isinstance(spec, str) else spec[0] for spec in filters]
+        chain, local = zip(*map(self._make_filter, filters)) if filters else ((), ())
         # the filters before (and including) the last one that is not
         # token-local run over the token stream; the rest run per vocab entry
-        cut = max((i + 1 for i, nm in enumerate(names) if nm not in _TOKEN_LOCAL),
-                  default=0)
-        self._token_chain, self._filters = chain[:cut], chain[cut:]
+        cut = max((i + 1 for i, ok in enumerate(local) if not ok), default=0)
+        self._token_chain, self._filters = list(chain[:cut]), list(chain[cut:])
         self.filter_specs = tuple(
             spec if isinstance(spec, str) else (spec[0], dict(spec[1]))
             for spec in filters
@@ -777,58 +780,63 @@ class CustomAnalyzer(Analyzer):
 
     @staticmethod
     def _make_filter(spec):
+        """(filter, token_local): token_local when the filter maps or drops
+        one token at a time, whatever its neighbours (then it may run once
+        per vocabulary entry)."""
         name, kw = (spec, {}) if isinstance(spec, str) else (spec[0], dict(spec[1]))
         if name == "lowercase":
-            return lambda t, d: (_utf8_lower(t), d)
+            return (lambda t, d: (_utf8_lower(t), d)), True
         if name == "stop":
             words = sorted(frozenset(kw.get("stopwords", ENGLISH_STOP_WORDS)))
-            return _stop_filter(np.array(words, dtype=object))
+            return _stop_filter(np.array(words, dtype=object)), True
         if name == "ascii_folding":
-            return lambda t, d: (_vocab_map(t, _fold_token), d)
+            return (lambda t, d: (_vocab_map(t, _fold_token), d)), True
         if name == "length":
             return _length_filter(int(kw.get("min_len", 0)),
-                                  int(kw.get("max_len", MAX_TOKEN_LENGTH)))
+                                  int(kw.get("max_len", MAX_TOKEN_LENGTH))), True
         if name == "reverse":
-            return lambda t, d: (_vocab_map(t, lambda s: s[::-1]), d)
+            return (lambda t, d: (_vocab_map(t, lambda s: s[::-1]), d)), True
         if name == "porter":
-            return _porter_filter
+            return _porter_filter, True
         if name == "french_light_stem":
             from .lightstem import french_light_stem
 
-            return lambda t, d: (_vocab_map(t, french_light_stem), d)
+            return (lambda t, d: (_vocab_map(t, french_light_stem), d)), True
         if name == "german_light_stem":
             from .lightstem import german_light_stem
 
-            return lambda t, d: (_vocab_map(t, german_light_stem), d)
+            return (lambda t, d: (_vocab_map(t, german_light_stem), d)), True
         if name == "spanish_light_stem":
             from .lightstem import spanish_light_stem
 
-            return lambda t, d: (_vocab_map(t, spanish_light_stem), d)
+            return (lambda t, d: (_vocab_map(t, spanish_light_stem), d)), True
         if name == "elision":
-            return lambda t, d: (_vocab_map(t, _elide_token), d)
+            return (lambda t, d: (_vocab_map(t, _elide_token), d)), True
         if name == "possessive":
-            return _possessive_filter
+            return _possessive_filter, True
+        # shingles, bigrams and grams read a token's neighbours or emit
+        # several tokens in its place
         if name == "shingle":
-            return _shingle_filter(**kw)
+            return _shingle_filter(**kw), False
         if name == "cjk_bigram":
-            return _cjk_bigram_filter(bool(kw.get("output_unigrams", False)))
+            return _cjk_bigram_filter(bool(kw.get("output_unigrams", False))), False
         if name == "ngram":
             return _ngram_filter(int(kw.get("min_gram", 1)),
-                                 int(kw.get("max_gram", 2)), edge=False)
+                                 int(kw.get("max_gram", 2)), edge=False), False
         if name == "edge_ngram":
             return _ngram_filter(int(kw.get("min_gram", 1)),
-                                 int(kw.get("max_gram", 1)), edge=True)
+                                 int(kw.get("max_gram", 1)), edge=True), False
         if name == "soundex":
             # analysis/phonetic PhoneticFilter(Soundex, inject=false): the
             # token is REPLACED by its code (injection would stack
             # positions; this chain is order-implied)
-            return lambda t, d: (_vocab_map(t, _soundex_token), d)
+            return (lambda t, d: (_vocab_map(t, _soundex_token), d)), True
         if name in ("keyword_marker", "stemmer_override"):
             # KeywordMarkerFilter / StemmerOverrideFilter guarding a
             # 1:1 downstream stemmer (the keyword attribute the reference
             # threads through the chain, expressed as a guarded compose):
             # protected/overridden tokens bypass the wrapped filter.
-            inner = CustomAnalyzer._make_filter(kw.get("filter", "porter"))
+            inner, local = CustomAnalyzer._make_filter(kw.get("filter", "porter"))
             if name == "keyword_marker":
                 protected = np.array(sorted(set(kw.get("keywords", ()))),
                                      dtype=object)
@@ -842,7 +850,7 @@ class CustomAnalyzer(Analyzer):
                     keep = np.isin(t, _prot)
                     return np.where(keep, t, it), d
 
-                return guard
+                return guard, local
             rules = dict(kw.get("rules") or {})
 
             def override(t, d, _inner=inner, _rules=rules):
@@ -855,19 +863,22 @@ class CustomAnalyzer(Analyzer):
                 hit = mapped != ""
                 return np.where(hit, mapped, it), d
 
-            return override
+            return override, local
         raise ValueError(f"unknown token filter {name!r}")
 
-    def _tokenize_raw(self, texts: Sequence[str]):
-        tokens, doc_idx = self._tok._tokenize_raw(texts)
+    def _tokenize_raw_coded(self, texts):
+        """The tokenizer's coded output (the ASCII kernel included), then
+        the per-token part of the chain over its tokens, re-factorized."""
+        vocab, codes, doc_idx = self._tok._tokenize_raw_coded(texts)
+        if not self._token_chain:
+            return vocab, codes, doc_idx
+        import pandas as pd
+
+        tokens = vocab[codes]
         for f in self._token_chain:
             tokens, doc_idx = f(tokens, doc_idx)
-        return tokens, doc_idx
-
-    def _tokenize_raw_coded(self, texts):
-        if self._token_chain:
-            return super()._tokenize_raw_coded(texts)
-        return self._tok._tokenize_raw_coded(texts)
+        codes, vocab = pd.factorize(tokens)
+        return np.asarray(vocab, dtype=object), codes, doc_idx
 
     @property
     def spec_name(self) -> str:

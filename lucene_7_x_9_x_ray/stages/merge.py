@@ -40,6 +40,7 @@ of its specs.
 
 from __future__ import annotations
 
+import bisect
 import os
 import shutil
 import uuid
@@ -262,50 +263,79 @@ def _term_range_cols(t: pa.Table, seg_dir: str, doc_base: int, a: int, b: int,
     return cols
 
 
-def _read_terms(seg_dir: str, prefix: str) -> tuple[pa.Table, np.ndarray]:
-    t = pq.read_table(os.path.join(seg_dir, prefix + TERMS_FILE))
-    return t, np.asarray(t["term"].to_numpy(zero_copy_only=False), dtype=object)
+class _SortedTerms:
+    """A segment's sorted ``term`` column searched in place: ``bisect``
+    reads only the terms a search compares, as Python strs, so no Python
+    string is made per term."""
+
+    def __init__(self, col: pa.ChunkedArray):
+        self._col = col.combine_chunks()
+
+    def __len__(self) -> int:
+        return len(self._col)
+
+    def __getitem__(self, i: int) -> str:
+        return self._col[i].as_py()
 
 
-def _term_dict(term_dicts: dict | None, seg_dir: str, prefix: str):
-    """_read_terms through a task's ``term_dicts`` (seg_dir -> the read),
-    so each dictionary is read once per task; None reads every time."""
-    if term_dicts is None:
-        return _read_terms(seg_dir, prefix)
-    got = term_dicts.get(seg_dir)
-    if got is None:
-        got = term_dicts[seg_dir] = _read_terms(seg_dir, prefix)
-    return got
+def _read_terms(seg_dir: str, prefix: str) -> pa.Table:
+    return pq.read_table(os.path.join(seg_dir, prefix + TERMS_FILE))
+
+
+class _TaskTerms:
+    """One merge task's reads of the segments' term dictionaries. A
+    segment's terms.parquet is read once, when the task first needs it,
+    and the rows of each of the task's term ranges are copied out of it
+    (with the row after the range, whose offsets end the range's byte
+    regions); the rest of the dictionary is dropped, and a range's rows
+    are dropped once its spec has taken them. So a task holds its own
+    share of each dictionary, one spec's share in a one-spec task, never
+    the whole of it. ``ranges[k]`` is spec k's [lo, hi) (hi None: to the
+    end); a hot term t is the range [t, t + "\\x00"), which holds t alone."""
+
+    def __init__(self, ranges: list[tuple[str, str | None]], prefix: str):
+        self.ranges, self.prefix = ranges, prefix
+        self._cuts: dict[str, list] = {}
+
+    def take(self, seg_dir: str, k: int) -> tuple[pa.Table, int]:
+        """(rows, m): the segment's terms of range k are rows [0, m).
+        Each (segment, range) is handed over once."""
+        cuts = self._cuts.get(seg_dir)
+        if cuts is None:
+            t = _read_terms(seg_dir, self.prefix)
+            terms = _SortedTerms(t["term"])
+            cuts = self._cuts[seg_dir] = []
+            for lo, hi in self.ranges:
+                a = bisect.bisect_left(terms, lo)
+                b = len(terms) if hi is None else max(a, bisect.bisect_left(terms, hi))
+                cuts.append((t.take(np.arange(a, min(b + 1, len(terms)))), b - a))
+        cut, cuts[k] = cuts[k], None
+        return cut
 
 
 def assemble_range_group(
     seg_dirs: list[str],
     doc_bases: list[int],
-    lo: str,
-    hi: str | None,
+    terms: _TaskTerms,
+    k: int,
     hot_set: frozenset,
-    prefix: str = "",
-    term_dicts: dict | None = None,
 ) -> pa.Table | None:
-    """Pull one term-range's fragments from every segment (ranged reads);
+    """Pull term range k's fragments from every segment (ranged reads);
     None when no segment holds a term of the range.
 
     Region bytes for a term range are CONTIGUOUS in postings.bin (regions
     are written in sorted term order), so each segment contributes one
     sequential read, shipped as one buffer — the pull-shuffle property
     that replaces the all-to-all exchange. Hot terms (salted into their
-    own groups) are filtered out of the range. ``term_dicts`` caches the
-    segments' term dictionaries across the specs of one task (_term_dict).
+    own groups) are filtered out of the range.
     """
     parts = []
     hot = pa.array(sorted(hot_set), type=pa.string())
     for seg_dir, doc_base in zip(seg_dirs, doc_bases):
-        t, terms = _term_dict(term_dicts, seg_dir, prefix)
-        a = int(np.searchsorted(terms, lo, side="left"))
-        b = len(terms) if hi is None else int(np.searchsorted(terms, hi, side="left"))
-        if a >= b:
+        t, m = terms.take(seg_dir, k)
+        if m == 0:
             continue
-        frag = pa.table(_term_range_cols(t, seg_dir, doc_base, a, b, prefix))
+        frag = pa.table(_term_range_cols(t, seg_dir, doc_base, 0, m, terms.prefix))
         if len(hot):
             frag = frag.filter(pc.invert(pc.is_in(frag["term"], value_set=hot)))
         if frag.num_rows:
@@ -316,13 +346,12 @@ def assemble_range_group(
 def assemble_hot_group(
     seg_dirs: list[str],
     doc_bases: list[int],
-    term: str,
+    terms: _TaskTerms,
+    k: int,
     bucket: int,
     hot_buckets: int,
-    prefix: str = "",
-    term_dicts: dict | None = None,
 ) -> pa.Table | None:
-    """Pull one salted hot term's fragments for one doc-range bucket: the
+    """Pull salted hot term k's fragments for one doc-range bucket: the
     term's one-row range of every segment in the bucket (a contiguous run
     of segments, so bucket order is docID order); None when none holds
     the term."""
@@ -330,10 +359,9 @@ def assemble_hot_group(
     for o, (seg_dir, doc_base) in enumerate(zip(seg_dirs, doc_bases)):
         if o * hot_buckets // len(seg_dirs) != bucket:
             continue
-        t, terms = _term_dict(term_dicts, seg_dir, prefix)
-        i = int(np.searchsorted(terms, term))
-        if i < len(terms) and terms[i] == term:
-            parts.append(pa.table(_term_range_cols(t, seg_dir, doc_base, i, i + 1, prefix)))
+        t, m = terms.take(seg_dir, k)
+        if m:
+            parts.append(pa.table(_term_range_cols(t, seg_dir, doc_base, 0, 1, terms.prefix)))
     return pa.concat_tables(parts) if parts else None
 
 
@@ -413,20 +441,20 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
         def run_block(block: dict) -> dict:
             """One task: its specs one at a time (one spec's fragments in
             memory at once), each segment's term dictionary read once for
-            all of them."""
+            all of them (_TaskTerms)."""
             specs_ = block["specs"]
-            term_dicts = {} if len(specs_) > 1 else None
+            terms = _TaskTerms(
+                [(s["lo"], s["hi"]) if s["kind"] == "range" else (s["term"], s["term"] + "\x00")
+                 for s in specs_],
+                prefix,
+            )
             shards_ = []
-            for spec in specs_:
+            for k, spec in enumerate(specs_):
                 if spec["kind"] == "range":
-                    group = assemble_range_group(
-                        seg_dirs, doc_bases, spec["lo"], spec["hi"], hot_set,
-                        prefix=prefix, term_dicts=term_dicts,
-                    )
+                    group = assemble_range_group(seg_dirs, doc_bases, terms, k, hot_set)
                 else:
                     group = assemble_hot_group(
-                        seg_dirs, doc_bases, spec["term"], spec["bucket"], cfg.hot_buckets,
-                        prefix=prefix, term_dicts=term_dicts,
+                        seg_dirs, doc_bases, terms, k, spec["bucket"], cfg.hot_buckets,
                     )
                 if group is not None:
                     shards_.append(write_merged_shard(

@@ -208,16 +208,20 @@ def test_vocab_level_filters_match_the_per_token_chain(docs):
     """tokenize_batch, which runs the token-local filters once per vocab
     entry over the coded tokenizer output, equals the per-token chain (the
     per-document regex tokenizer, then each filter over every token) for
-    the standard, english and stop analyzers and a custom stop+Porter
-    chain."""
+    the standard, english and stop analyzers, a custom stop+Porter chain
+    and a custom chain with a per-token part (Porter, shingle) before its
+    vocab part (reverse)."""
     from lucene_7_x_9_x_ray.functions.analysis import CustomAnalyzer
 
     for an in (
         STD, get_analyzer("standard_en"), get_analyzer("english"), get_analyzer("stop"),
         CustomAnalyzer("standard", [("stop", {"stopwords": ["the", "a", "is"]}), "porter"]),
+        CustomAnalyzer("standard", ["porter", "shingle", "reverse"]),
     ):
-        tokens, doc_idx = an._tokenize_raw(docs)
-        for f in an._filters:
+        # reference: the tokenizer's per-document regex, then every filter
+        # of the chain over every token
+        tokens, doc_idx = getattr(an, "_tok", an)._tokenize_raw(docs)
+        for f in getattr(an, "_token_chain", []) + an._filters:
             tokens, doc_idx = f(tokens, doc_idx)
         got, got_idx = an.tokenize_batch(docs)
         assert got.tolist() == tokens.tolist(), an.name
@@ -235,6 +239,26 @@ def test_custom_chain_splits_at_its_last_non_local_filter():
     an = CustomAnalyzer("standard", ["porter", "shingle", "reverse"])
     assert len(an._token_chain) == 2 and len(an._filters) == 1
     assert an.tokens("Running dogs") == ["nur", "god nur", "god"]
+
+
+def test_chains_on_the_standard_tokenizer_use_the_ascii_kernel(monkeypatch):
+    """Every analyzer on the standard tokenizer, a custom chain with a
+    per-token part too, runs an ASCII batch of 512 bytes or more through
+    the kernel; a shorter one (a query string) takes the regex."""
+    from lucene_7_x_9_x_ray.functions import analysis
+    from lucene_7_x_9_x_ray.functions.analysis import CustomAnalyzer
+
+    calls = []
+    kernel = analysis._ascii_kernel
+    monkeypatch.setattr(analysis, "_ascii_kernel", lambda arr: calls.append(len(arr)) or kernel(arr))
+    docs = ["Running dogs chase the cats, 3.14 times over. " * 12] * 2
+    for an in (STD, get_analyzer("english"), CustomAnalyzer("standard", ["porter", "shingle"])):
+        calls.clear()
+        assert an.tokenize_batch(docs)[0].tolist() == an.tokens(docs[0]) * 2
+        assert calls == [2, 1]
+        calls.clear()
+        an.tokens("Running dogs")
+        assert calls == []
 
 
 def test_porter_stemmer_paper_vectors():

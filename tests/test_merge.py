@@ -300,8 +300,12 @@ def test_a_new_shard_plan_resumes_no_shard(tmp_path):
 def test_a_merge_task_reads_each_term_dictionary_once(built, tmp_path, monkeypatch):
     """The in-process merge runs all its specs (8 range shards and the hot
     buckets) as one task, which reads each segment's terms.parquet once;
-    the merged tree is the one per-spec reads wrote."""
+    the merged tree is the one a read per spec writes, and a term search
+    in place finds the rows numpy's searchsorted over the terms finds."""
+    import bisect
     import shutil
+
+    import pyarrow.parquet as pq
 
     from lucene_7_x_9_x_ray.stages import merge as merge_mod
 
@@ -316,22 +320,32 @@ def test_a_merge_task_reads_each_term_dictionary_once(built, tmp_path, monkeypat
 
     monkeypatch.setattr(merge_mod, "_read_terms", counting)
     out = merge_index_local(idx, MCFG)
-    n_segs = len(IndexManifest.load(idx).segments)
-    assert len(out["shards"]) > MCFG.n_shards  # range and hot specs
-    assert sorted(reads) == sorted(set(reads)) and len(reads) == n_segs
-
-    # a one-spec task keeps reading per spec, as before
-    reads.clear()
     seg_dirs = IndexManifest.load(idx).segment_dirs()
-    bases = [s["doc_base"] for s in IndexManifest.load(idx).segments]
-    merge_mod.assemble_range_group(seg_dirs, bases, "", None, frozenset())
-    assert len(reads) == n_segs
+    assert len(out["shards"]) > MCFG.n_shards  # range and hot specs
+    assert sorted(reads) == sorted(set(reads)) and len(reads) == len(seg_dirs)
+
+    task_terms = merge_mod._TaskTerms
+
+    class PerSpec(task_terms):
+        # every spec reads every dictionary afresh, as a one-spec task does
+        def take(self, seg_dir, k):
+            return task_terms([self.ranges[k]], self.prefix).take(seg_dir, 0)
 
     ref = str(tmp_path / "ref")
     shutil.copytree(built, ref, ignore=shutil.ignore_patterns("merged"))
-    monkeypatch.setattr(merge_mod, "_term_dict", lambda _d, sd, p: read_terms(sd, p))
+    reads.clear()
+    monkeypatch.setattr(merge_mod, "_TaskTerms", PerSpec)
     merge_index_local(ref, MCFG)
+    assert len(reads) > len(seg_dirs)
     a = _tree_bytes(os.path.join(idx, "merged"))
     b = _tree_bytes(os.path.join(ref, "merged"))
     assert sorted(a) == sorted(b)
     assert [k for k in a if a[k] != b[k]] == []
+
+    for seg_dir in seg_dirs:
+        col = pq.read_table(os.path.join(seg_dir, "terms.parquet"))["term"]
+        terms = col.to_pylist()
+        probes = ["", "\uffff", terms[0], terms[-1]] + terms[::37] + [t + "\x00" for t in terms[::53]]
+        want = np.searchsorted(np.array(terms, dtype=object), probes)
+        got = [bisect.bisect_left(merge_mod._SortedTerms(col), p) for p in probes]
+        assert got == want.tolist()
