@@ -15,8 +15,10 @@ Behavioral reference (semantics re-created, storage redesigned for Arrow):
   flat per-block last_doc array — O(log nblocks) `advance` via searchsorted,
   which beats pointer-chasing skips in a columnar layout.
 
-All encode/decode paths are numpy-vectorized (np.packbits/np.unpackbits with
-little-endian bit order); no Python loop over postings, only over blocks.
+All encode/decode paths are numpy-vectorized (little-endian bit order): the
+whole-segment writer packs a 64-bit word at a time (pack_blocks) and reads
+back through unaligned 64-bit windows (_read_bits); no Python loop over
+postings, only over blocks in the per-term reference kernels.
 """
 
 from __future__ import annotations
@@ -266,8 +268,14 @@ def pack_blocks(
     block_counts[i] values packed at block_widths[i] bits, little-endian,
     each block padded to a byte boundary — byte-identical to concatenating
     per-block _pack_block outputs). Returns (packed uint8 array,
-    byte offsets[B+1]). This is the whole-segment encode fast path: one
-    bit-scatter + one np.packbits instead of a Python call per block.
+    byte offsets[B+1]).
+
+    Values are placed a 64-bit word at a time: the value at stream bit b
+    puts ``v << (b & 63)`` into word ``b >> 6`` and, when it straddles the
+    word's end, ``v >> (64 - (b & 63))`` into the next word. Values never
+    share a bit, so one OR-reduce over each run of equal word indices
+    assembles a word, and the words viewed as little-endian bytes are the
+    stream. Cost is a few passes over the values, whatever the widths.
     """
     counts = np.asarray(block_counts, dtype=np.int64)
     widths = np.asarray(block_widths, dtype=np.int64)
@@ -275,29 +283,29 @@ def pack_blocks(
     byte_off = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(nbytes, out=byte_off[1:])
     total_bytes = int(byte_off[-1])
-    if total_bytes == 0 or len(values) == 0:
-        return np.zeros(total_bytes, dtype=np.uint8), byte_off
+    if total_bytes == 0:
+        return np.zeros(0, dtype=np.uint8), byte_off
 
+    # width-0 blocks write no bits: drop their values
+    nz = widths > 0
     v = np.asarray(values, dtype=np.int64)
-    w_per_value = np.repeat(widths, counts)
-    base_bits = np.repeat(byte_off[:-1] * 8, counts)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    local_idx = np.arange(len(v), dtype=np.int64) - np.repeat(starts, counts)
-    val_bit_start = base_bits + local_idx * w_per_value
-
-    maxw = int(widths.max())
-    if maxw == 0:
-        return np.zeros(total_bytes, dtype=np.uint8), byte_off
-    # one scatter per bit plane (≤ maxw vectorized passes; no (N, w)
-    # temporaries — those dominate wall time at millions of values)
-    out = np.zeros(total_bytes * 8, dtype=np.uint8)
-    for k in range(maxw):
-        selk = w_per_value > k
-        if not selk.any():
-            continue
-        out[val_bit_start[selk] + k] = ((v[selk] >> k) & 1).astype(np.uint8)
-    return np.packbits(out, bitorder="little"), byte_off
+    if not nz.all():
+        v = v[np.repeat(nz, counts)]
+    c, w = counts[nz], widths[nz]
+    # stream bit of a block's i-th value: byte_off * 8 + i * w
+    wv = np.repeat(w, c)
+    bit = np.arange(len(v), dtype=np.int64) * wv
+    bit += np.repeat(byte_off[:-1][nz] * 8 - (np.cumsum(c) - c) * w, c)
+    word = bit >> 6
+    shift = (bit & 63).astype(np.uint64)
+    u = v.astype(np.uint64)
+    out = np.zeros((total_bytes + 7) // 8 + 1, dtype="<u8")
+    runs = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+    out[word[runs]] = np.bitwise_or.reduceat(u << shift, runs)
+    # at most one value straddles into a word, so a plain scatter ORs it
+    st = np.flatnonzero(shift + wv.astype(np.uint64) > 64)
+    out[word[st] + 1] |= u[st] >> (np.uint64(64) - shift[st])
+    return out.view(np.uint8)[:total_bytes], byte_off
 
 
 def block_bounds(doc_freq: int) -> tuple[int, np.ndarray]:
@@ -622,26 +630,37 @@ def encode_segment_terms(
     del deltas, fm1, d_store, f_store
 
     # per-block competitive (freq, norm) pareto frontiers of every block in
-    # one pass (== compute_impacts per block): sort by (block, freq desc,
-    # norm asc); the key norm - block*256 puts each block below every
-    # earlier one, so one running minimum restarts at each block and a row
-    # is kept iff its norm beats every earlier row of its block
+    # one pass (== compute_impacts per block): sort one int64 key of
+    # (block, freq desc, norm asc), fields sized from the data's maxima.
+    # Rows with equal keys carry equal (freq, norm), so the frontier does
+    # not depend on their order and the key alone carries the row. The
+    # running key norm - block*256 puts each block below every earlier one,
+    # so one running minimum restarts at each block and a row is kept iff
+    # its norm beats every earlier row of its block
     norms_aligned = np.asarray(norms_aligned, dtype=np.uint8)
-    vblock = np.repeat(np.arange(B, dtype=np.int64), bcount)
-    order = np.lexsort((norms_aligned, -freqs, vblock))
-    key = vblock * -256  # vblock is sorted already: vblock[order] == vblock
-    key += norms_aligned[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
-    kept = order[first]
-    kb = vblock[first]
+    fmax = int(freqs.max()) if len(freqs) else 0
+    fshift = fmax.bit_length() + 8
+    if max(B - 1, 0).bit_length() + fshift > 63:
+        raise OverflowError(f"impact sort key of {B} blocks, max freq {fmax} exceeds 63 bits")
+    key = np.repeat(np.arange(B, dtype=np.int64) << fshift, bcount)
+    key |= (fmax - freqs) << 8
+    key |= norms_aligned
+    key.sort()
+    kblock = key >> fshift
+    run = key & 255
+    run -= kblock * 256
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = run[1:] < np.minimum.accumulate(run)[:-1]
+    del run
+    kept = key[first]
+    kb = kblock[first]
     imp_counts = np.bincount(kb, minlength=B)
     imp_end = np.cumsum(imp_counts)
     # a block's frontier is stored freq-ascending: reverse its kept rows
-    rev = kept[2 * imp_end[kb] - imp_counts[kb] - 1 - np.arange(len(kept))]
+    kept = kept[2 * imp_end[kb] - imp_counts[kb] - 1 - np.arange(len(kept))]
     enc.imp_counts = imp_counts
-    enc.imp_freqs = freqs[rev].astype(np.int32)
-    enc.imp_norms = norms_aligned[rev]
+    enc.imp_freqs = (fmax - ((kept & ((np.int64(1) << fshift) - 1)) >> 8)).astype(np.int32)
+    enc.imp_norms = (kept & 255).astype(np.uint8)
     imp_term_off = np.zeros(T + 1, dtype=np.int64)
     if B:
         per_term_imps = np.add.reduceat(imp_counts, bstart[:-1])

@@ -92,7 +92,6 @@ class BuildConfig:
     # whole); build_index cuts a file that the bound leaves in fewer
     # ranges than build slots into smaller, even ones (plan_partitions)
     target_docs_per_segment: int = 100_000
-    chunk_rows: int = 8192
     # Ray cpu slots reserved per build task. 1 is right on real clusters;
     # raise to 2-4 on hosts where concurrent heavy tasks contend for memory
     # bandwidth (measured 3x on this sandbox for 400-token docs — see
@@ -290,7 +289,7 @@ def build_one_segment(spec: dict, cfg: BuildConfig, segments_dir: str) -> Segmen
                 )
     n = len(texts)
     urls = (
-        table[cfg.url_col].to_pylist()
+        table[cfg.url_col]
         if cfg.url_col in table.column_names
         else [f"row:{spec['doc_base'] + i}" for i in range(n)]
     )
@@ -300,7 +299,7 @@ def build_one_segment(spec: dict, cfg: BuildConfig, segments_dir: str) -> Segmen
         else pa.array(np.zeros(n, dtype=np.int64), type=pa.timestamp("us"))
     )
     langs = (
-        table[cfg.lang_col].to_pylist() if cfg.lang_col in table.column_names else [""] * n
+        table[cfg.lang_col] if cfg.lang_col in table.column_names else [""] * n
     )
 
     analyzer = get_analyzer(cfg.analyzer)

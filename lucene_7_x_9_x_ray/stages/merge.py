@@ -65,8 +65,6 @@ from ..state.segment import (
 from .fanout import cluster_cpus, fan_out
 
 MERGED_MANIFEST = "merged.json"
-# pull-merge Ray tasks (blocks of specs) per CPU; _pull_merge says why
-MERGE_BLOCKS_PER_CPU = 2
 
 
 @dataclass
@@ -441,7 +439,8 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
         def run_block(block: dict) -> dict:
             """One task: its specs one at a time (one spec's fragments in
             memory at once), each segment's term dictionary read once for
-            all of them (_TaskTerms)."""
+            all of them (_TaskTerms). A spec whose shard dir already holds
+            this plan's fingerprint resumes before any fragment is pulled."""
             specs_ = block["specs"]
             terms = _TaskTerms(
                 [(s["lo"], s["hi"]) if s["kind"] == "range" else (s["term"], s["term"] + "\x00")
@@ -450,6 +449,10 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
             )
             shards_ = []
             for k, spec in enumerate(specs_):
+                done = _resumed_shard(out_dir, shard_fp, spec["shard_id"])
+                if done is not None:
+                    shards_.append(done)
+                    continue
                 if spec["kind"] == "range":
                     group = assemble_range_group(seg_dirs, doc_bases, terms, k, hot_set)
                 else:
@@ -463,15 +466,16 @@ def _pull_merge(index_dir: str, cfg: MergeConfig | None, boundaries: str,
                     ))
             return {"shards": shards_}
 
-        # one Ray task per BLOCK of specs, MERGE_BLOCKS_PER_CPU (2) blocks
-        # per CPU: at toy scale a block per spec means hundreds of ~50 ms
-        # tasks whose scheduling dwarfs the work; at 100-TB scale each spec
-        # is minutes of work and the min() leaves one spec per block. Specs
-        # are interleaved range/hot round-robin so a block doesn't
-        # accumulate one term's hottest buckets (skew guard).
-        n_blocks = (
-            max(1, min(len(specs), cluster_cpus() * MERGE_BLOCKS_PER_CPU)) if use_ray else 1
-        )
+        # one Ray task per BLOCK of specs, one block per CPU: a single wave.
+        # Ray Data starts a worker's second block up to 0.17 s after its
+        # first ends, so two blocks per CPU cost more than their balance
+        # saves: merge_index of perfbench's `search` index (88,000 pages in
+        # 4 segments, 32 specs, 4 CPUs) took 0.35-0.41 s in 4 blocks against
+        # 0.42-0.52 s in 8 (3 alternating runs x 4 indexes). At 100-TB scale
+        # each spec is minutes of work and the min() leaves one spec per
+        # block. Specs are interleaved range/hot round-robin so a block
+        # doesn't accumulate one term's hottest buckets (skew guard).
+        n_blocks = max(1, min(len(specs), cluster_cpus())) if use_ray else 1
         blocks = [{"specs": specs[i::n_blocks]} for i in range(n_blocks)]
         shards = [s for r in fan_out(run_block, blocks, use_ray=use_ray) for s in r["shards"]]
         return {
@@ -521,24 +525,31 @@ def _group_norms(group: pa.Table, prefix: str) -> tuple[np.ndarray, int]:
     return norms, int(bases[0])
 
 
+def _resumed_shard(merged_dir: str, fingerprint: str, shard_id: int) -> dict | None:
+    """The stats of shard ``shard_id`` marked resumed, if its committed dir
+    holds ``fingerprint`` (the shard's resume key, _shard_fingerprint);
+    else None."""
+    stats_path = os.path.join(merged_dir, f"shard_{shard_id:05d}", "stats.json")
+    if not os.path.exists(stats_path):
+        return None
+    st = load_json(stats_path)
+    if st.get("fingerprint") != fingerprint:
+        return None
+    st["resumed"] = True
+    return st
+
+
 def write_merged_shard(
     group: pa.Table, merged_dir: str, fingerprint: str, shard_id: int,
     postings_format: str = "for", prefix: str = "",
 ) -> dict:
     """Merge one shard's pulled fragments, commit atomically.
-    ``fingerprint`` is the shard's resume key (_shard_fingerprint): a
-    shard dir whose stats.json holds it is kept. ``prefix`` names the
-    field (state.segment.field_prefix) whose norms the re-encoded impacts
-    use."""
+    ``fingerprint`` is the shard's resume key (_shard_fingerprint), written
+    to its stats.json; the caller skips a shard that already holds it
+    (_resumed_shard). ``prefix`` names the field (state.segment.field_prefix)
+    whose norms the re-encoded impacts use."""
     shard_name = f"shard_{shard_id:05d}"
     out_dir = os.path.join(merged_dir, shard_name)
-    stats_path = os.path.join(out_dir, "stats.json")
-    if os.path.exists(stats_path):
-        st = load_json(stats_path)
-        if st.get("fingerprint") == fingerprint:
-            st["resumed"] = True
-            return st
-
     # one vectorized decode of every fragment, docIDs rebased to GLOBAL ids
     # (doc_base + local), re-encoded in one pass (rewrite_postings)
     terms = np.asarray(group["term"].to_numpy(zero_copy_only=False), dtype=object)

@@ -376,6 +376,32 @@ def write_docmap(table: pa.Table, path: str) -> None:
     pq.write_table(table, path, row_group_size=DV_BLOCK_ROWS, compression="zstd")
 
 
+def _string_array(values) -> pa.Array:
+    """``values`` (a list, or an Arrow string column of any chunking) as one
+    ``pa.string()`` array."""
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    if isinstance(values, pa.Array):
+        return values.cast(pa.string())
+    return pa.array(values, type=pa.string())
+
+
+def lineage_fingerprint(urls: pa.Array, lengths: np.ndarray) -> str:
+    """A segment's content fingerprint for lineage: sha256 over every url
+    (null as "None") in doc order, then the doc lengths. Equal to updating
+    the hash with ``str(u).encode()`` per url, read off the url column's
+    data buffer in one update."""
+    h = hashlib.sha256()
+    filled = urls.fill_null("None") if urls.null_count else urls
+    offs = np.frombuffer(filled.buffers()[1], dtype=np.int32)
+    offs = offs[filled.offset : filled.offset + len(filled) + 1]
+    data = filled.buffers()[2]
+    if data is not None and len(filled):
+        h.update(memoryview(data)[int(offs[0]) : int(offs[-1])])
+    h.update(lengths.tobytes())
+    return h.hexdigest()
+
+
 def write_segment(
     out_dir: str,
     seg_name: str,
@@ -435,10 +461,11 @@ def write_segment(
             fres.pop("lengths")
             field_stats[fname] = fres
 
+        urls = _string_array(urls)
         docmap_cols = {
-            "url": pa.array(urls, type=pa.string()),
+            "url": urls,
             "warc_ts": pa.array(warc_ts),
-            "lang": pa.array(langs, type=pa.string()),
+            "lang": _string_array(langs),
             "length": pa.array(lengths),
         }
         for col, arr in (extra_docmap or {}).items():
@@ -446,11 +473,6 @@ def write_segment(
             docmap_cols[col] = arr
         write_docmap(pa.table(docmap_cols), os.path.join(tmp, DOCMAP_FILE))
 
-        # content fingerprint for lineage: urls + lengths (cheap, order-sensitive)
-        h = hashlib.sha256()
-        for u in urls:
-            h.update(str(u).encode())
-        h.update(lengths.tobytes())
         stats = SegmentStats(
             seg_name=seg_name,
             doc_base=doc_base,
@@ -461,7 +483,7 @@ def write_segment(
             lineage_file=lineage_file,
             lineage_rg_start=rg_start,
             lineage_rg_end=rg_end,
-            lineage_fingerprint=h.hexdigest(),
+            lineage_fingerprint=lineage_fingerprint(urls, lengths),
             analyzer=analyzer.name,
             field_stats=field_stats,
             elapsed_sec=elapsed_sec + (_time.perf_counter() - _t_start),

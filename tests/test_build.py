@@ -405,9 +405,10 @@ def test_incremental_build_resumes_an_even_cut_file(ray_session, tmp_path):
 
 
 def test_arrow_and_list_texts_write_identical_files(tmp_path, monkeypatch):
-    """build_one_segment hands write_segment the Arrow text column; the
-    segment and merged files are byte-identical to those of a build that
-    passes list[str] (non-ASCII, null and long-run documents included)."""
+    """build_one_segment hands write_segment the Arrow text, url and lang
+    columns; the segment and merged files are byte-identical to those of a
+    build that passes lists (non-ASCII, null and long-run documents, and
+    null urls, included)."""
     from lucene_7_x_9_x_ray.stages import build as build_mod
     from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index_local
 
@@ -416,14 +417,18 @@ def test_arrow_and_list_texts_write_identical_files(tmp_path, monkeypatch):
     for i in range(0, 600, 7):
         texts[i] = ["Café naïve O'Neil's", None, "x" * 300 + ".y 3.14 1,000", ""][i % 4]
     t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(texts))
+    urls = t["url"].to_pylist()
+    urls[3::11] = [None] * len(urls[3::11])
+    t = t.set_column(t.schema.get_field_index("url"), "url", pa.array(urls, pa.string()))
     path = str(tmp_path / "pages.parquet")
     pq.write_table(t, path, row_group_size=100)
     write_segment = build_mod.write_segment
     passed = []
 
-    def as_list(*args, texts, **kwargs):
-        passed.append(type(texts))
-        return write_segment(*args, texts=texts.to_pylist(), **kwargs)
+    def as_list(*args, texts, urls, langs, **kwargs):
+        passed.append((type(texts), type(urls), type(langs)))
+        return write_segment(*args, texts=texts.to_pylist(), urls=urls.to_pylist(),
+                             langs=langs.to_pylist(), **kwargs)
 
     trees = {}
     for name in ("arrow", "list"):
@@ -441,7 +446,75 @@ def test_arrow_and_list_texts_write_identical_files(tmp_path, monkeypatch):
             if rel.endswith(".json"):  # the build's own timing differs run to run
                 data = {k: v for k, v in json.loads(data).items() if k != "elapsed_sec"}
             trees[name][rel] = data
-    assert passed and all(p is pa.ChunkedArray for p in passed)
+    assert passed and all(p is pa.ChunkedArray for ps in passed for p in ps)
     assert any(k.startswith("segments") for k in trees["arrow"])
     assert any(k.startswith("merged") for k in trees["arrow"])
     assert trees["arrow"] == trees["list"]
+
+
+@pytest.mark.parametrize("drop", [(), ("url", "lang")])
+def test_lineage_fingerprint_is_the_per_url_hash(tmp_path, drop):
+    """Each segment's lineage fingerprint is sha256 over str(url) per doc
+    (null urls as "None"; "row:<docID>" when the input has no url column)
+    and then the doc lengths, as the docmap records them."""
+    import hashlib
+
+    t = generate_pages(500, seed=3, vocab_size=100, mean_tokens=15)
+    urls = t["url"].to_pylist()
+    urls[::9] = [None] * len(urls[::9])
+    t = t.set_column(t.schema.get_field_index("url"), "url", pa.array(urls, pa.string()))
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(t.drop_columns(list(drop)), path, row_group_size=100)
+    idx = str(tmp_path / "idx")
+    man = build_index_local([path], idx, BuildConfig(target_docs_per_segment=200))
+    assert len(man.segments) > 1
+    for seg in man.segments:
+        dm = pq.read_table(os.path.join(idx, "segments", seg["seg_name"], "docmap.parquet"))
+        want = (dm["url"].to_pylist() if not drop
+                else [f"row:{seg['doc_base'] + i}" for i in range(seg["doc_count"])])
+        if not drop:
+            assert want == urls[seg["doc_base"] : seg["doc_base"] + seg["doc_count"]]
+        h = hashlib.sha256()
+        for u in want:
+            h.update(str(u).encode())
+        h.update(dm["length"].to_numpy().tobytes())
+        assert seg["lineage_fingerprint"] == h.hexdigest()
+
+
+def test_index_digest_masks_run_values_and_finds_changed_bytes(pages_file, tmp_path):
+    """tools/index_digest.py: two builds + merges of one input in different
+    places at different times digest equal file by file (wall times, input
+    paths and resume fingerprints masked); one changed byte of a segment
+    file, or a missing file, is reported."""
+    import importlib.util
+    import shutil
+
+    from lucene_7_x_9_x_ray.stages.merge import MergeConfig, merge_index_local
+
+    spec = importlib.util.spec_from_file_location(
+        "index_digest",
+        os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "index_digest.py"),
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    idx = {}
+    for name in ("a", "b"):
+        src = str(tmp_path / f"{name}.parquet")
+        shutil.copy(pages_file, src)
+        idx[name] = str(tmp_path / name)
+        build_index_local([src], idx[name], BuildConfig(target_docs_per_segment=400))
+        merge_index_local(idx[name], MergeConfig(n_shards=3))
+    a, b = tool.index_digest(idx["a"]), tool.index_digest(idx["b"])
+    assert a == b and any(k.startswith("merged") for k in a)
+    assert tool.main([idx["a"], idx["b"]]) == 0
+    post = os.path.join(idx["b"], "segments", "seg_000000", "postings.bin")
+    with open(post, "r+b") as f:
+        f.seek(os.path.getsize(post) // 2)
+        byte = f.read(1)[0]
+        f.seek(-1, os.SEEK_CUR)
+        f.write(bytes([byte ^ 1]))
+    os.remove(os.path.join(idx["b"], "merged", "merged.json"))
+    changed = {k for k in a if tool.index_digest(idx["b"]).get(k) != a[k]}
+    assert changed == {os.path.join("segments", "seg_000000", "postings.bin"),
+                       os.path.join("merged", "merged.json")}
+    assert tool.main([idx["a"], idx["b"]]) == 1

@@ -272,6 +272,33 @@ def test_sampled_boundaries_match_exact_results(ray_session, tmp_path):
     assert not os.path.exists(os.path.join(idx_a, "merged", "norms.bin"))
 
 
+
+def test_a_resumed_merge_pulls_no_fragment(built, tmp_path, monkeypatch):
+    """Re-running a merge whose shards all hold the plan's fingerprint
+    resumes every shard before any term-range slice is pulled; the first
+    run of the same merge pulls."""
+    import shutil
+
+    from lucene_7_x_9_x_ray.stages import merge as merge_mod
+
+    pulls = []
+    pull = merge_mod._term_range_cols
+
+    def counting(t, seg_dir, *args, **kwargs):
+        pulls.append(seg_dir)
+        return pull(t, seg_dir, *args, **kwargs)
+
+    monkeypatch.setattr(merge_mod, "_term_range_cols", counting)
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built, idx, ignore=shutil.ignore_patterns("merged"))
+    first = merge_index_local(idx, MCFG)
+    assert pulls and not any(s["resumed"] for s in first["shards"])
+    pulls.clear()
+    again = merge_index_local(idx, MCFG)
+    assert pulls == []
+    assert [s["shard_id"] for s in again["shards"]] == [s["shard_id"] for s in first["shards"]]
+    assert all(s["resumed"] for s in again["shards"])
+
 def test_a_new_shard_plan_resumes_no_shard(tmp_path):
     """Re-merging the same segments under another shard plan rewrites
     every shard: a shard id names a different term range under n_shards=8

@@ -83,6 +83,130 @@ def test_segment_encoder_matches_per_term_fuzz(pl, seed):
         assert gb == wb and gw == ww
 
 
+@st.composite
+def packed_blocks(draw):
+    """Blocks of 1..128 values (tails and 1-value blocks included) at
+    widths 0..63, each value drawn over its full width, so widths 57..63
+    straddle 64-bit words at most offsets; zero blocks is the empty input."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.lists(
+        st.tuples(st.integers(0, 63), st.sampled_from([1, 2, 7, 63, 127, 128])),
+        max_size=12,
+    ))
+    widths = np.array([w for w, _ in shape], dtype=np.int64)
+    counts = np.array([c for _, c in shape], dtype=np.int64)
+    vals = [rng.integers(0, 1 << w, size=c, dtype=np.int64) if w < 63
+            else rng.integers(0, 2**63 - 1, size=c, dtype=np.int64, endpoint=True)
+            for w, c in shape]
+    values = np.concatenate(vals) if vals else np.zeros(0, np.int64)
+    return values, counts, widths
+
+
+def _pack_per_block(values, counts, widths):
+    starts = np.cumsum(counts) - counts
+    return b"".join(codec._pack_block(values[s : s + c], int(w))
+                    for s, c, w in zip(starts, counts, widths))
+
+
+@given(packed_blocks())
+@settings(max_examples=200, deadline=None)
+def test_pack_blocks_matches_per_block_fuzz(blocks):
+    """pack_blocks == the concatenation of per-block _pack_block output,
+    with byte offsets at each block's packed size."""
+    values, counts, widths = blocks
+    packed, off = codec.pack_blocks(values, counts, widths)
+    assert packed.dtype == np.uint8
+    assert packed.tobytes() == _pack_per_block(values, counts, widths)
+    assert off.tolist() == [0, *np.cumsum((counts * widths + 7) // 8).tolist()]
+
+
+def test_pack_blocks_every_width():
+    """Every width 0..63 in one call: full, tail and 1-value blocks, all
+    bits set (the widest straddle) and random values."""
+    rng = np.random.default_rng(7)
+    widths, counts, vals = [], [], []
+    for w in range(64):
+        for c in (128, 93, 1):
+            widths.append(w)
+            counts.append(c)
+            top = (1 << w) - 1
+            vals.append(np.full(c, top, np.int64) if c == 93
+                        else rng.integers(0, top, size=c, dtype=np.int64, endpoint=True))
+    values, counts, widths = np.concatenate(vals), np.array(counts), np.array(widths)
+    packed, off = codec.pack_blocks(values, counts, widths)
+    assert packed.tobytes() == _pack_per_block(values, counts, widths)
+    for b in range(len(counts)):
+        got = codec._unpack_block(memoryview(packed)[off[b] : off[b + 1]],
+                                  int(counts[b]), int(widths[b]))
+        start = int(counts[:b].sum())
+        assert np.array_equal(got.astype(np.int64), values[start : start + counts[b]])
+    empty, eoff = codec.pack_blocks(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                                    np.zeros(0, np.int64))
+    assert len(empty) == 0 and eoff.tolist() == [0]
+
+
+@given(st.lists(st.integers(1, 600), min_size=1, max_size=6),
+       st.sampled_from([1, 3, 40, 1 << 16, (1 << 16) + 5, 1 << 30]),
+       st.sampled_from([1, 2, 5, 256]), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_segment_impacts_match_per_block_fuzz(dfs, fmax, nmax, seed):
+    """encode_segment_terms' impacts == compute_impacts of every block,
+    with many tied (freq, norm) rows (small ranges) and freqs >= 2^16."""
+    rng = np.random.default_rng(seed)
+    dfs = np.array(dfs, dtype=np.int64)
+    docs = np.concatenate([np.sort(rng.choice(2000, size=d, replace=False)) for d in dfs])
+    freqs = rng.integers(1, fmax, size=len(docs), dtype=np.int64, endpoint=True)
+    norms = rng.integers(0, nmax, size=len(docs)).astype(np.uint8)
+    ends = np.cumsum(dfs)
+    enc = codec.encode_segment_terms(docs, freqs, norms, ends - dfs, ends)
+    want_c, want_f, want_n = [], [], []
+    for s, e in zip(ends - dfs, ends):
+        for b in range(s, e, codec.BLOCK_SIZE):
+            c = min(codec.BLOCK_SIZE, e - b)
+            kf, kn = codec.compute_impacts(freqs[b : b + c].astype(np.int32), norms[b : b + c])
+            want_c.append(len(kf))
+            want_f.extend(kf.tolist())
+            want_n.extend(kn.tolist())
+    assert enc.imp_counts.tolist() == want_c
+    assert enc.imp_freqs.dtype == np.int32 and enc.imp_freqs.tolist() == want_f
+    assert enc.imp_norms.dtype == np.uint8 and enc.imp_norms.tolist() == want_n
+
+
+def _fingerprint_per_url(urls, lengths) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for u in urls:
+        h.update(str(u).encode())
+    h.update(lengths.tobytes())
+    return h.hexdigest()
+
+
+@given(st.lists(st.one_of(st.none(), st.text(max_size=12)), max_size=30),
+       st.integers(0, 30), st.integers(0, 30), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_lineage_fingerprint_matches_per_url_loop_fuzz(urls, cut, start, large):
+    """The one-update lineage fingerprint == sha256 over str(url) per url
+    (null as "None") then the lengths, for a list, a chunked Arrow column
+    and a sliced one."""
+    import pyarrow as pa
+
+    from lucene_7_x_9_x_ray.state.segment import _string_array, lineage_fingerprint
+
+    lengths = np.arange(len(urls), dtype=np.int64) * 3
+    want = _fingerprint_per_url(urls, lengths)
+    assert lineage_fingerprint(_string_array(urls), lengths) == want
+    typ = pa.large_string() if large else pa.string()
+    cut = min(cut, len(urls))
+    chunked = pa.chunked_array([pa.array(urls[:cut], typ), pa.array(urls[cut:], typ)])
+    assert lineage_fingerprint(_string_array(chunked), lengths) == want
+    start = min(start, len(urls))
+    sliced = pa.array(urls, typ).slice(start)
+    assert lineage_fingerprint(_string_array(sliced), lengths[start:]) == (
+        _fingerprint_per_url(urls[start:], lengths[start:])
+    )
+
+
 @given(st.lists(st.text(max_size=60), max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_analyzer_batch_consistency_fuzz(texts):
