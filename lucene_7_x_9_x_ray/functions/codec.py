@@ -16,9 +16,14 @@ Behavioral reference (semantics re-created, storage redesigned for Arrow):
   which beats pointer-chasing skips in a columnar layout.
 
 All encode/decode paths are numpy-vectorized (little-endian bit order): the
-whole-segment writer packs a 64-bit word at a time (pack_blocks) and reads
-back through unaligned 64-bit windows (_read_bits); no Python loop over
-postings, only over blocks in the per-term reference kernels.
+whole-segment writer packs a 64-bit word at a time (pack_blocks); merge,
+compaction and reclaim read back through unaligned 64-bit windows
+(_read_bits); queries decode any sorted set of one term's blocks through
+decode_blocks (a width-grouped unpackbits gather, _unpack_block for the
+tail). No Python loop over postings, only over blocks in the per-term
+reference kernels. Packing takes widths up to 63 bits, but decode_blocks
+sums bits in float64 and is exact only up to width 53; docID deltas and
+freqs stay far below 2^53.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ __all__ = [
     "BLOCK_SIZE",
     "EncodedPostings",
     "encode_postings",
-    "decode_docs",
-    "decode_freqs",
+    "decode_blocks",
     "compute_impacts",
     "block_bounds",
     "PostingsFormat",
@@ -221,8 +225,10 @@ def apply_exceptions(
 
 
 def _pack_block(values: np.ndarray, width: int) -> bytes:
-    """Bit-pack non-negative ints at `width` bits each (<= 63, so docIDs up
-    to 10^12-scale corpora fit), little-endian bit order."""
+    """Bit-pack non-negative ints at `width` bits each, little-endian bit
+    order. Widths up to 63 pack; decode_blocks reads full blocks back
+    exactly only up to width 53 (a float64 sum), far above any docID
+    delta or freq."""
     if width == 0:
         return b""
     v = values.astype(np.uint64)
@@ -702,7 +708,11 @@ def _read_bits(buf: np.ndarray, bit_off: np.ndarray, widths: np.ndarray) -> np.n
     byte covers widths <= 56; wider values take their top bits from the
     byte after the window. Windows that would run past the end of ``buf``
     read a zero-padded copy of its last bytes, so ``buf`` (a memory map,
-    say) is never copied."""
+    say) is never copied.
+
+    The merge's kernel: there it is as fast as or faster than
+    decode_blocks' width-grouped gather (17.0 ms against 19.4 ms for one
+    391k-posting segment), and it decodes many regions in one call."""
     byte = np.asarray(bit_off, dtype=np.int64) >> 3
     shift = (np.asarray(bit_off, dtype=np.int64) & 7).astype(np.uint64)
     w = np.asarray(widths).astype(np.uint64)
@@ -913,188 +923,72 @@ def rewrite_postings(
     return enc
 
 
-def _block_offsets(counts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    sizes = _packed_nbytes(counts, widths)
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
-
-
-def _unpack_all(
-    blob, widths: np.ndarray, counts: np.ndarray, offsets: np.ndarray
+def decode_blocks(
+    blob, widths: np.ndarray, doc_freq: int, blocks: np.ndarray | None = None,
+    exc: tuple | None = None, last_docs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unpack every block of a region into one int64 array, vectorized —
-    the sel=everything case of _unpack_subset (one width-grouped gather
-    per distinct width; only the tail block decodes individually). This is
-    the bulk-decode fast path the exhaustive scorer sits on."""
-    return _unpack_subset(blob, widths, counts, offsets, np.arange(len(counts), dtype=np.int64))
+    """The query-side decoder of one doc-delta or freq stream: the sorted,
+    distinct ``blocks`` (None = all of them), concatenated in block order.
 
-
-def _unpack_subset(
-    blob, widths: np.ndarray, counts: np.ndarray, offsets: np.ndarray, sel: np.ndarray
-) -> np.ndarray:
-    """_unpack_all over an ARBITRARY sorted subset of blocks: full blocks
-    group by width and decode in one gather each; the only per-block Python
-    work is the (at most one) tail block. Returns the subset's raw values
-    concatenated in block order."""
-    n = len(sel)
-    sub_counts = counts[sel]
-    total = int(sub_counts.sum())
-    out = np.empty(total, dtype=np.int64)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(sub_counts[:-1], out=starts[1:])
-    raw = np.frombuffer(blob, dtype=np.uint8, count=int(offsets[-1]))
-    full_rows = np.flatnonzero(sub_counts == BLOCK_SIZE)
-    w_arr = widths[sel[full_rows]].astype(np.int64)
-    for w in np.unique(w_arr):
-        rows = full_rows[w_arr == w]
+    With ``last_docs`` the stream holds docIDs (stored as delta - 1): each
+    block is the prefix sum of value + 1 on the previous block's last doc
+    (-1 before block 0) -> int64. Without it, the stream holds freqs
+    (stored as freq - 1) -> int32. ``exc`` (PFOR) patches high bits in
+    before either (apply_exceptions)."""
+    _, counts = block_bounds(doc_freq)
+    widths = np.asarray(widths)
+    nbytes = _packed_nbytes(counts, widths)
+    offsets = np.cumsum(nbytes) - nbytes
+    if blocks is None:
+        sel, sub = np.arange(len(counts), dtype=np.int64), counts
+    else:
+        sel = np.asarray(blocks, dtype=np.int64)
+        sub = counts[sel]
+    starts = np.cumsum(sub) - sub
+    vals = np.empty(int(sub.sum()), dtype=np.int64)
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    # Full blocks: one unpackbits gather per distinct width. On the query
+    # side this beats _read_bits 3-4x (1.8 ms against 7.7 ms for the docs
+    # of an 80k-posting list, 4-CPU host) and a 2-D 64-bit window gather
+    # (1.79 against 2.16 ms). The float64 sum is exact up to width 53;
+    # docID deltas and freqs stay far below 2^53.
+    full = np.flatnonzero(sub == BLOCK_SIZE)
+    w_full = widths[sel[full]].astype(np.int64)
+    for w in np.unique(w_full):
+        rows = full[w_full == w]
         dst = (starts[rows][:, None] + np.arange(BLOCK_SIZE)[None, :]).ravel()
         if w == 0:
-            out[dst] = 0
+            vals[dst] = 0
             continue
-        bpb = BLOCK_SIZE * int(w) // 8
-        gather = raw[(offsets[sel[rows]][:, None] + np.arange(bpb)[None, :])]
+        gather = raw[offsets[sel[rows]][:, None] + np.arange(BLOCK_SIZE * int(w) // 8)[None, :]]
         if w == 8:
-            out[dst] = gather.ravel()
-            continue
-        if w == 16:
-            out[dst] = gather.view(np.uint16).ravel()
-            continue
-        bits = np.unpackbits(gather, axis=1, bitorder="little")
-        weights = np.exp2(np.arange(w, dtype=np.float64))
-        vals = bits.reshape(len(rows) * BLOCK_SIZE, int(w)).astype(np.float64) @ weights
-        out[dst] = vals.astype(np.int64)
-    for r in np.flatnonzero(sub_counts != BLOCK_SIZE):  # tail block (<=1)
-        bi = int(sel[r])
-        vals = _unpack_block(
-            memoryview(blob)[int(offsets[bi]) :], int(counts[bi]), int(widths[bi])
+            vals[dst] = gather.ravel()
+        elif w == 16:
+            vals[dst] = gather.view(np.uint16).ravel()
+        else:
+            bits = np.unpackbits(gather, axis=1, bitorder="little")
+            weights = np.exp2(np.arange(w, dtype=np.float64))
+            vals[dst] = (bits.reshape(-1, int(w)).astype(np.float64) @ weights).astype(np.int64)
+    if len(sel) and sub[-1] < BLOCK_SIZE:
+        # The tail block (only the list's last block can be short) keeps
+        # _unpack_block: through _read_bits a df-50 list (docs and freqs)
+        # cost 232 us against 152 us, and half the terms of a query mix
+        # are that short.
+        tail = int(sel[-1])
+        vals[int(starts[-1]):] = _unpack_block(
+            memoryview(blob)[int(offsets[tail]):], int(sub[-1]), int(widths[tail])
         )
-        out[int(starts[r]) : int(starts[r]) + int(counts[bi])] = vals.astype(np.int64)
-    return out
-
-
-def decode_docs_blocks(
-    docs_blob, doc_widths: np.ndarray, doc_freq: int, last_docs: np.ndarray,
-    block_ids: np.ndarray, exc: tuple | None = None,
-) -> np.ndarray:
-    """Decode docIDs of an arbitrary sorted subset of blocks in one
-    vectorized pass — the scattered-candidate lookup path of the MaxScore
-    scorer. Per-block delta cumsums rebase on last_docs[b-1]. ``exc``
-    (PFOR) patches delta high bits before the cumsum."""
-    nblocks, counts = block_bounds(doc_freq)
-    offsets = _block_offsets(counts, doc_widths)
-    sel = np.asarray(block_ids, dtype=np.int64)
-    deltas = _unpack_subset(docs_blob, doc_widths, counts, offsets, sel)
     if exc is not None:
-        sub = counts[sel]
-        starts0 = np.zeros(len(sel), np.int64)
-        np.cumsum(sub[:-1], out=starts0[1:])
-        apply_exceptions(deltas, sel, doc_widths, exc, starts0)
-    deltas += 1
+        apply_exceptions(vals, sel, widths, exc, starts)
+    vals += 1
+    if last_docs is None:
+        return vals.astype(np.int32)
+    docs = np.cumsum(vals)
+    if len(sel) and int(sel[-1] - sel[0]) == len(sel) - 1:
+        # a contiguous run (the whole list, one block) takes one base;
+        # rebasing each block cost 8% more on a 300k-posting list
+        docs += int(last_docs[sel[0] - 1]) if sel[0] > 0 else -1
+        return docs
+    # scattered blocks: restart the prefix sum at each block on its base
     bases = np.where(sel > 0, last_docs[np.maximum(sel - 1, 0)], -1)
-    sub_counts = counts[sel]
-    ends = np.cumsum(sub_counts)
-    starts = ends - sub_counts
-    docs = np.cumsum(deltas)
-    # per-block rebase: subtract the running total at each block start, add base
-    seg_offset = np.repeat(docs[starts] - deltas[starts] - bases, sub_counts)
-    return docs - seg_offset
-
-
-def decode_freqs_blocks(
-    freqs_blob, freq_widths: np.ndarray, doc_freq: int, block_ids: np.ndarray,
-    exc: tuple | None = None,
-) -> np.ndarray:
-    nblocks, counts = block_bounds(doc_freq)
-    offsets = _block_offsets(counts, freq_widths)
-    sel = np.asarray(block_ids, dtype=np.int64)
-    vals = _unpack_subset(freqs_blob, freq_widths, counts, offsets, sel)
-    if exc is not None:
-        sub = counts[sel]
-        starts0 = np.zeros(len(sel), np.int64)
-        np.cumsum(sub[:-1], out=starts0[1:])
-        apply_exceptions(vals, sel, freq_widths, exc, starts0)
-    return (vals + 1).astype(np.int32)
-
-
-def decode_docs(
-    docs_blob,
-    doc_widths: np.ndarray,
-    doc_freq: int,
-    first_block: int = 0,
-    last_block: int | None = None,
-    base: int = -1,
-    exc: tuple | None = None,
-) -> np.ndarray:
-    """Decode docIDs for blocks [first_block, last_block) -> int64 array.
-
-    Each block's first delta is relative to the previous block's last doc,
-    so a partial decode starting at ``first_block > 0`` must pass
-    ``base = last_docs[first_block - 1]``; the default base of -1 is the
-    virtual previous doc before block 0. ``exc`` (PFOR) patches delta high
-    bits before the cumsum.
-    """
-    nblocks, counts = block_bounds(doc_freq)
-    if last_block is None:
-        last_block = nblocks
-    offsets = _block_offsets(counts, doc_widths)
-    if first_block == 0 and last_block == nblocks:
-        deltas = _unpack_all(docs_blob, doc_widths, counts, offsets)
-        if exc is not None:
-            starts0 = np.zeros(nblocks, np.int64)
-            np.cumsum(counts[:-1], out=starts0[1:])
-            apply_exceptions(deltas, np.arange(nblocks, dtype=np.int64),
-                             doc_widths, exc, starts0)
-        deltas += 1
-        return np.cumsum(deltas) + base
-    if first_block >= last_block:
-        return np.empty(0, dtype=np.int64)
-    # ranged decode down the same width-grouped vectorized path: slice the
-    # blob at the range's byte offsets and rebase the per-block offsets
-    mv = memoryview(docs_blob)
-    sl = slice(first_block, last_block)
-    rel = offsets[first_block : last_block + 1] - offsets[first_block]
-    deltas = _unpack_all(
-        mv[offsets[first_block] : offsets[last_block]],
-        doc_widths[sl], counts[sl], rel,
-    )
-    if exc is not None:
-        sel = np.arange(first_block, last_block, dtype=np.int64)
-        starts0 = np.zeros(len(sel), np.int64)
-        np.cumsum(counts[sl][:-1], out=starts0[1:])
-        apply_exceptions(deltas, sel, doc_widths, exc, starts0)
-    deltas += 1
-    return np.cumsum(deltas) + base
-
-
-def decode_freqs(
-    freqs_blob, freq_widths: np.ndarray, doc_freq: int, first_block: int = 0,
-    last_block: int | None = None, exc: tuple | None = None,
-) -> np.ndarray:
-    nblocks, counts = block_bounds(doc_freq)
-    if last_block is None:
-        last_block = nblocks
-    offsets = _block_offsets(counts, freq_widths)
-    if first_block == 0 and last_block == nblocks:
-        vals = _unpack_all(freqs_blob, freq_widths, counts, offsets)
-        if exc is not None:
-            starts0 = np.zeros(nblocks, np.int64)
-            np.cumsum(counts[:-1], out=starts0[1:])
-            apply_exceptions(vals, np.arange(nblocks, dtype=np.int64),
-                             freq_widths, exc, starts0)
-        return (vals + 1).astype(np.int32)
-    if first_block >= last_block:
-        return np.empty(0, dtype=np.int32)
-    mv = memoryview(freqs_blob)
-    sl = slice(first_block, last_block)
-    rel = offsets[first_block : last_block + 1] - offsets[first_block]
-    vals = _unpack_all(
-        mv[offsets[first_block] : offsets[last_block]],
-        freq_widths[sl], counts[sl], rel,
-    )
-    if exc is not None:
-        sel = np.arange(first_block, last_block, dtype=np.int64)
-        starts0 = np.zeros(len(sel), np.int64)
-        np.cumsum(counts[sl][:-1], out=starts0[1:])
-        apply_exceptions(vals, sel, freq_widths, exc, starts0)
-    return (vals + 1).astype(np.int32)
+    return docs - np.repeat(docs[starts] - vals[starts] - bases, sub)

@@ -186,56 +186,22 @@ class _ShardedTermLookup:
     def term_positions(self, term: str):
         """(global docs, freqs, positions stream) or None — hot terms stitch
         their doc-range fragments in bucket (== docID) order."""
-        hr = self.hot_rank.get(term)
-        sids = self._hot_sids(hr) if hr is not None else [self._cold_shard_id(term)]
-        d_parts, f_parts, p_parts = [], [], []
-        for sid in sids:
-            sh = self._shard(sid)
-            if sh is None or not getattr(sh, "has_positions", False):
-                continue
-            i = sh.lookup(term)
-            if i < 0:
-                continue
-            d, f = sh.postings_by_ord(i).decode()
-            d_parts.append(d)
-            f_parts.append(f)
-            p_parts.append(sh.positions_by_ord(i, f))
-        if not d_parts:
-            return None
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(f_parts),
-            np.concatenate(p_parts),
-        )
+        return self._stitch_positions(term, payloads=False)
 
     def term_positions_payloads(self, term: str):
         """(global docs, freqs, positions, payloads) or None — payload
         fragments stitch in the same bucket order as positions."""
+        return self._stitch_positions(term, payloads=True)
+
+    def _stitch_positions(self, term: str, payloads: bool):
         hr = self.hot_rank.get(term)
         sids = self._hot_sids(hr) if hr is not None else [self._cold_shard_id(term)]
-        d_parts, f_parts, p_parts, pay_parts = [], [], [], []
-        for sid in sids:
-            sh = self._shard(sid)
-            if sh is None or not (
-                getattr(sh, "has_positions", False) and getattr(sh, "has_payloads", False)
-            ):
-                continue
-            i = sh.lookup(term)
-            if i < 0:
-                continue
-            d, f = sh.postings_by_ord(i).decode()
-            d_parts.append(d)
-            f_parts.append(f)
-            p_parts.append(sh.positions_by_ord(i, f))
-            pay_parts.append(sh.payloads_by_ord(i))
-        if not d_parts:
+        parts = [sh._read_positions(term, payloads) for sh in map(self._shard, sids)
+                 if sh is not None]
+        parts = [p for p in parts if p is not None]
+        if not parts:
             return None
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(f_parts),
-            np.concatenate(p_parts),
-            np.concatenate(pay_parts),
-        )
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def _any_shard_flag(self, attr: str) -> bool:
         """True iff ANY loadable shard carries the capability."""

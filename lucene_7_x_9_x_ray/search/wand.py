@@ -186,11 +186,9 @@ class _MSClause:
     def scores_at(self, cand: np.ndarray) -> np.ndarray:
         """float32 contribution of this clause at the sorted candidate docs
         (0 where absent). Decodes only the blocks candidates fall into, all
-        in ONE vectorized subset pass (codec.decode_docs_blocks) — the
+        in ONE vectorized subset pass (TermPostings.decode_blocks) — the
         "non-essential clause lookup" of MaxScore; cost tracks |candidate
         blocks|, not df."""
-        from ..functions.codec import decode_docs_blocks, decode_freqs_blocks
-
         out = np.zeros(len(cand), dtype=np.float32)
         tp = self.tp
         if self._full is not None:
@@ -211,10 +209,7 @@ class _MSClause:
             d, s = self.full()
             f = None
         else:
-            d = decode_docs_blocks(tp.docs_blob, tp.doc_widths, tp.doc_freq, last, bis,
-                                   exc=tp.dexc)
-            f = decode_freqs_blocks(tp.freqs_blob, tp.freq_widths, tp.doc_freq, bis,
-                                    exc=tp.fexc)
+            d, f = tp.decode_blocks(bis)
             s = None
         idx = np.searchsorted(d, cand)
         idx_c = np.minimum(idx, len(d) - 1)
@@ -290,8 +285,6 @@ def probe_score_floor(reader, term_boosts, k, stats, bm25) -> float:
     >= the partial, so >= k docs globally score at least it). The
     MaxScoreAccumulator seed (IndexSearcher.java:432): shards prune
     against it from the very first block."""
-    from ..functions.codec import decode_docs_blocks, decode_freqs_blocks
-
     best = None
     for term, boost in term_boosts:
         tp = reader.term_postings(term)
@@ -311,10 +304,7 @@ def probe_score_floor(reader, term_boosts, k, stats, bm25) -> float:
     n = 0
     for i in range(0, len(order), 8):
         sel = np.sort(order[i : i + 8]).astype(np.int64)
-        d = decode_docs_blocks(tp.docs_blob, tp.doc_widths, tp.doc_freq, tp.last_docs, sel,
-                               exc=tp.dexc)
-        f = decode_freqs_blocks(tp.freqs_blob, tp.freq_widths, tp.doc_freq, sel,
-                                exc=tp.fexc)
+        d, f = tp.decode_blocks(sel)
         scores.append(tw.score(f, reader.norms[d]))
         n += len(d)
         if n >= k:
@@ -349,8 +339,6 @@ def term_impact_topk(
         return coll.result()
     tw = bm25.term_weight(stats.df(term), stats.doc_count, stats.sum_total_term_freq, boost, ttf=stats.ttf(term))
     parts = getattr(tp, "parts", None) or [tp]
-    from ..functions.codec import decode_docs_blocks, decode_freqs_blocks
-
     for part in parts:
         bms = _block_max_scores(part, tw)
         theta = max(floor, coll.min_competitive())
@@ -359,10 +347,7 @@ def term_impact_topk(
             coll.force_lower_bound = True  # skipped blocks held uncounted matches
         if len(sel) == 0:
             continue
-        d = decode_docs_blocks(part.docs_blob, part.doc_widths, part.doc_freq, part.last_docs, sel,
-                               exc=part.dexc)
-        f = decode_freqs_blocks(part.freqs_blob, part.freq_widths, part.doc_freq, sel,
-                                exc=part.fexc)
+        d, f = part.decode_blocks(sel)
         s = tw.score(f, reader.norms[d])
         coll.collect_batch(d + doc_base, s)
     return coll.result()

@@ -555,21 +555,22 @@ class TermPostings:
     fexc: tuple | None = None
 
     def decode(self) -> tuple[np.ndarray, np.ndarray]:
-        docs = codec.decode_docs(self.docs_blob, self.doc_widths, self.doc_freq,
-                                 exc=self.dexc)
-        freqs = codec.decode_freqs(self.freqs_blob, self.freq_widths, self.doc_freq,
-                                   exc=self.fexc)
-        return docs, freqs
+        return self.decode_blocks()
 
     def decode_block(self, bi: int) -> tuple[np.ndarray, np.ndarray]:
-        base = -1 if bi == 0 else int(self.last_docs[bi - 1])
-        docs = codec.decode_docs(
-            self.docs_blob, self.doc_widths, self.doc_freq, bi, bi + 1, base,
-            exc=self.dexc,
+        return self.decode_blocks([bi])
+
+    def decode_blocks(self, blocks=None) -> tuple[np.ndarray, np.ndarray]:
+        """(int64 docs, int32 freqs) of the sorted ``blocks`` (None = all)
+        through codec.decode_blocks. Scorers decoding a block subset call
+        this, not decode/decode_block: perfbench's traced run counts those
+        two as whole-list and single-block decodes."""
+        return (
+            codec.decode_blocks(self.docs_blob, self.doc_widths, self.doc_freq, blocks,
+                                self.dexc, self.last_docs),
+            codec.decode_blocks(self.freqs_blob, self.freq_widths, self.doc_freq, blocks,
+                                self.fexc),
         )
-        freqs = codec.decode_freqs(self.freqs_blob, self.freq_widths, self.doc_freq,
-                                   bi, bi + 1, exc=self.fexc)
-        return docs, freqs
 
     def impact_slices(self):
         """Yield per-block (freqs, norms) impact frontiers."""
@@ -760,13 +761,7 @@ class TermTableReader:
 
     def term_positions(self, term: str):
         """(docs, freqs, positions stream) or None (term absent / no .pos)."""
-        if not self.has_positions:
-            return None
-        i = self.lookup(term)
-        if i < 0:
-            return None
-        docs, freqs = self.postings_by_ord(i).decode()
-        return docs, freqs, self.positions_by_ord(i, freqs)
+        return self._read_positions(term, payloads=False)
 
     def payloads_by_ord(self, i: int) -> np.ndarray:
         """Term ord i's float32 payload stream (one entry per position,
@@ -776,13 +771,17 @@ class TermTableReader:
 
     def term_positions_payloads(self, term: str):
         """(docs, freqs, positions stream, payloads stream) or None."""
-        if not (self.has_positions and self.has_payloads):
+        return self._read_positions(term, payloads=True)
+
+    def _read_positions(self, term: str, payloads: bool):
+        if not self.has_positions or (payloads and not self.has_payloads):
             return None
         i = self.lookup(term)
         if i < 0:
             return None
         docs, freqs = self.postings_by_ord(i).decode()
-        return docs, freqs, self.positions_by_ord(i, freqs), self.payloads_by_ord(i)
+        out = (docs, freqs, self.positions_by_ord(i, freqs))
+        return out + (self.payloads_by_ord(i),) if payloads else out
 
 
 class FieldReader(TermTableReader):

@@ -13,8 +13,7 @@ from lucene_7_x_9_x_ray.functions.codec import (
     BLOCK_SIZE,
     block_bounds,
     compute_impacts,
-    decode_docs,
-    decode_freqs,
+    decode_blocks,
     encode_postings,
 )
 
@@ -23,8 +22,10 @@ def roundtrip(docs, freqs, norms):
     enc = encode_postings(docs, freqs, norms)
     dw = np.frombuffer(enc.doc_widths, dtype=np.uint8)
     fw = np.frombuffer(enc.freq_widths, dtype=np.uint8)
-    d = decode_docs(enc.docs_blob, dw, enc.doc_freq)
-    f = decode_freqs(enc.freqs_blob, fw, enc.doc_freq)
+    last = np.frombuffer(enc.last_docs, dtype=np.int64)
+    d = decode_blocks(enc.docs_blob, dw, enc.doc_freq, last_docs=last)
+    f = decode_blocks(enc.freqs_blob, fw, enc.doc_freq)
+    assert d.dtype == np.int64 and f.dtype == np.int32
     return enc, d, f
 
 
@@ -87,8 +88,8 @@ def test_partial_decode_with_base():
     enc = encode_postings(docs, np.ones(n), np.full(n, 5, dtype=np.uint8))
     dw = np.frombuffer(enc.doc_widths, dtype=np.uint8)
     last = np.frombuffer(enc.last_docs, dtype=np.int64)
-    # decode only block 2 using last_docs[1] as base
-    part = decode_docs(enc.docs_blob, dw, n, first_block=2, last_block=3, base=int(last[1]))
+    # decode only block 2: its base is last_docs[1]
+    part = decode_blocks(enc.docs_blob, dw, n, [2], last_docs=last)
     assert np.array_equal(part, docs[256:384])
     assert last[-1] == docs[-1]
 

@@ -85,33 +85,55 @@ def test_plan_invariants_and_size_win():
     assert len(enc_p.docs_packed) < 0.8 * len(enc_f.docs_packed)
 
 
-def test_region_roundtrip_and_subset_decode():
-    enc_p, docs, freqs, ts, te = _encode_corpus([1, 100, 777, 3000], seed=3)
+@st.composite
+def _block_subset(draw):
+    """(format, df, seed, sorted blocks): the first block, the tail block,
+    a contiguous run or scattered blocks of one posting list."""
+    fmt = draw(st.sampled_from(["for", "pfor"]))
+    df = draw(st.sampled_from([1, 100, 128, 129, 777, 3000]) | st.integers(1, 3000))
+    nb = -(-df // 128)
+    kind = draw(st.sampled_from(["first", "tail", "run", "scattered"]))
+    if kind == "first":
+        sel = [0]
+    elif kind == "tail":
+        sel = [nb - 1]
+    elif kind == "run":
+        lo = draw(st.integers(0, nb - 1))
+        sel = list(range(lo, draw(st.integers(lo, nb - 1)) + 1))
+    else:
+        sel = sorted(draw(st.sets(st.integers(0, nb - 1), min_size=1)))
+    return fmt, df, draw(st.integers(0, 2**16)), np.array(sel, dtype=np.int64)
+
+
+@given(_block_subset())
+@settings(max_examples=80, deadline=None)
+def test_region_roundtrip_and_subset_decode(case):
+    fmt, df, seed, sel = case
+    # the list under test is the corpus' second term: its region starts
+    # after another term's
+    enc, docs, freqs, ts, te = _encode_corpus([300, df], seed=seed, fmt=fmt)
     for ti in range(len(ts)):
-        df = int(te[ti] - ts[ti])
-        region, nb, ni, ld, lf = enc_p.term_region(ti)
-        assert region[0] == 1  # fmt_id byte leads the region
-        tp = parse_region(region, df, nb, ni, ld, lf)
+        region, nb, ni, ld, lf = enc.term_region(ti)
+        assert region[0] == get_postings_format(fmt).fmt_id  # fmt_id byte leads
+        tp = parse_region(region, int(te[ti] - ts[ti]), nb, ni, ld, lf)
         d, f = tp.decode()
+        assert d.dtype == np.int64 and f.dtype == np.int32
         assert np.array_equal(d, docs[ts[ti] : te[ti]])
         assert np.array_equal(f, freqs[ts[ti] : te[ti]])
-        if nb > 2:
-            # scattered subset (the MaxScore candidate-lookup path)
-            sel = np.unique(np.array([0, nb // 2, nb - 1], dtype=np.int64))
-            dsub = codec.decode_docs_blocks(
-                tp.docs_blob, tp.doc_widths, df, tp.last_docs, sel, exc=tp.dexc
-            )
-            fsub = codec.decode_freqs_blocks(
-                tp.freqs_blob, tp.freq_widths, df, sel, exc=tp.fexc
-            )
-            want_d = np.concatenate([d[b * 128 : (b + 1) * 128] for b in sel])
-            want_f = np.concatenate([f[b * 128 : (b + 1) * 128] for b in sel])
-            assert np.array_equal(dsub, want_d)
-            assert np.array_equal(fsub, want_f)
-            # single-block decode (TermPostings.decode_block path)
-            bd, bf = tp.decode_block(nb // 2)
-            assert np.array_equal(bd, d[(nb // 2) * 128 : (nb // 2 + 1) * 128])
-            assert np.array_equal(bf, f[(nb // 2) * 128 : (nb // 2 + 1) * 128])
+    # the drawn blocks in one pass each (the MaxScore candidate-lookup and
+    # impact-skipping path) == slices of the whole-list decode
+    dsub = codec.decode_blocks(tp.docs_blob, tp.doc_widths, df, sel, tp.dexc, tp.last_docs)
+    fsub = codec.decode_blocks(tp.freqs_blob, tp.freq_widths, df, sel, tp.fexc)
+    want_d = np.concatenate([d[b * 128 : (b + 1) * 128] for b in sel])
+    want_f = np.concatenate([f[b * 128 : (b + 1) * 128] for b in sel])
+    assert dsub.dtype == d.dtype and fsub.dtype == f.dtype
+    assert np.array_equal(dsub, want_d)
+    assert np.array_equal(fsub, want_f)
+    # single-block decode (TermPostings.decode_block path)
+    bi = int(sel[len(sel) // 2])
+    bd, bf = tp.decode_block(bi)
+    assert np.array_equal(bd, d[bi * 128 : (bi + 1) * 128])
+    assert np.array_equal(bf, f[bi * 128 : (bi + 1) * 128])
 
 
 def test_mixed_format_append_serves_and_merges(tmp_path, ray_session):

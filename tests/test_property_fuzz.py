@@ -30,22 +30,17 @@ def test_postings_roundtrip_fuzz(pl):
     docs, freqs, norms = pl
     enc = codec.encode_postings(docs, freqs, norms[docs])
     nblocks, counts = codec.block_bounds(len(docs))
-    got_docs = codec.decode_docs(
-        enc.docs_blob, np.frombuffer(enc.doc_widths, dtype=np.uint8), len(docs)
-    )
-    got_freqs = codec.decode_freqs(
+    dw = np.frombuffer(enc.doc_widths, dtype=np.uint8)
+    last = np.frombuffer(enc.last_docs, dtype=np.int64)
+    got_docs = codec.decode_blocks(enc.docs_blob, dw, len(docs), last_docs=last)
+    got_freqs = codec.decode_blocks(
         enc.freqs_blob, np.frombuffer(enc.freq_widths, dtype=np.uint8), len(docs)
     )
     assert np.array_equal(got_docs, docs)
     assert np.array_equal(got_freqs, freqs)
     # per-block decode agrees with bulk decode
-    last = np.frombuffer(enc.last_docs, dtype=np.int64)
     for bi in range(nblocks):
-        base = -1 if bi == 0 else int(last[bi - 1])
-        d = codec.decode_docs(
-            enc.docs_blob, np.frombuffer(enc.doc_widths, dtype=np.uint8),
-            len(docs), bi, bi + 1, base,
-        )
+        d = codec.decode_blocks(enc.docs_blob, dw, len(docs), [bi], last_docs=last)
         s = bi * codec.BLOCK_SIZE
         assert np.array_equal(d, docs[s : s + int(counts[bi])])
 
@@ -122,7 +117,8 @@ def test_pack_blocks_matches_per_block_fuzz(blocks):
 
 def test_pack_blocks_every_width():
     """Every width 0..63 in one call: full, tail and 1-value blocks, all
-    bits set (the widest straddle) and random values."""
+    bits set (the widest straddle) and random values; widths 0..53 decode
+    back through decode_blocks."""
     rng = np.random.default_rng(7)
     widths, counts, vals = [], [], []
     for w in range(64):
@@ -143,6 +139,28 @@ def test_pack_blocks_every_width():
     empty, eoff = codec.pack_blocks(np.zeros(0, np.int64), np.zeros(0, np.int64),
                                     np.zeros(0, np.int64))
     assert len(empty) == 0 and eoff.tolist() == [0]
+    # decode_blocks reads widths 0..53 back exactly (its full-block gather
+    # sums bits in float64): full, tail and 1-value blocks of one stream,
+    # the tail with all bits set, as docs (values + 1 prefix-summed) and,
+    # while value + 1 fits int32, as freqs
+    for w in range(54):
+        top = (1 << w) - 1
+        for c in ([128, 93], [128, 1], [1]):
+            c = np.array(c, dtype=np.int64)
+            v = rng.integers(0, top, size=int(c.sum()), dtype=np.int64, endpoint=True)
+            v[128:] = top
+            blob, _ = codec.pack_blocks(v, c, np.full(len(c), w))
+            ws = np.full(len(c), w, dtype=np.uint8)
+            docs = np.cumsum(v + 1) - 1
+            last = docs[np.cumsum(c) - 1]
+            got = codec.decode_blocks(blob, ws, len(v), last_docs=last)
+            assert got.dtype == np.int64 and np.array_equal(got, docs)
+            for b in range(len(c)):
+                got = codec.decode_blocks(blob, ws, len(v), [b], last_docs=last)
+                assert np.array_equal(got, docs[128 * b : 128 * b + c[b]])
+            if w <= 30:
+                got = codec.decode_blocks(blob, ws, len(v))
+                assert got.dtype == np.int32 and np.array_equal(got, v + 1)
 
 
 @given(st.lists(st.integers(1, 600), min_size=1, max_size=6),
